@@ -21,7 +21,6 @@
 //! `k`.
 
 use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
@@ -147,10 +146,10 @@ impl FlatRoutes {
         (x < self.n && y < self.n).then(|| &self.slots[x * self.n + y])
     }
 
-    fn get_or_insert(
+    fn get_or_insert<R: Into<Arc<str>>>(
         &self,
         slot: &OnceLock<Arc<str>>,
-        compute: impl FnOnce() -> String,
+        compute: impl FnOnce() -> R,
     ) -> (Arc<str>, bool) {
         if let Some(v) = slot.get() {
             return (v.clone(), true);
@@ -158,7 +157,7 @@ impl FlatRoutes {
         let mut computed = false;
         let v = slot.get_or_init(|| {
             computed = true;
-            Arc::from(compute())
+            compute().into()
         });
         // A racing thread may have initialized the slot first; either
         // way the caller that ran `compute` reports a miss.
@@ -180,14 +179,17 @@ impl QueryCache {
         }
     }
 
-    fn shard_index(key: &QueryKey) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % CACHE_SHARDS
-    }
-
+    /// The shard a key lives in: the top bits of one multiplicative mix
+    /// of its two numbers. Spreading is all it is for — the maps hash
+    /// their keys themselves (with the std hasher; keys come from
+    /// clients).
     fn shard(&self, key: &QueryKey) -> &Mutex<HashMap<QueryKey, Arc<str>>> {
-        &self.shards[Self::shard_index(key)]
+        let (a, b) = match *key {
+            QueryKey::Route(x, y) => (u64::from(x), u64::from(y)),
+            QueryKey::Tolerate(d, f) => (u64::from(d), f as u64),
+        };
+        let mixed = ((a << 32) ^ b).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        &self.shards[(mixed >> (64 - CACHE_SHARDS.trailing_zeros())) as usize]
     }
 
     /// Looks `key` up, computing and memoizing it with `compute` on a
@@ -196,10 +198,10 @@ impl QueryCache {
     /// No lock is held while `compute` runs — concurrent misses may
     /// compute twice, and the first insert wins; queries are pure
     /// functions of the epoch, so duplicated work is the only cost.
-    pub fn get_or_insert_with(
+    pub fn get_or_insert_with<R: Into<Arc<str>>>(
         &self,
         key: QueryKey,
-        compute: impl FnOnce() -> String,
+        compute: impl FnOnce() -> R,
     ) -> (Arc<str>, bool) {
         if let (QueryKey::Route(x, y), Some(flat)) = (key, self.routes.as_ref()) {
             if let Some(slot) = flat.slot(x, y) {
@@ -210,91 +212,30 @@ impl QueryCache {
         if let Some(v) = relock(shard.lock()).get(&key) {
             return (v.clone(), true);
         }
-        let fresh: Arc<str> = Arc::from(compute());
+        let fresh: Arc<str> = compute().into();
         let mut map = relock(shard.lock());
-        let value = map.entry(key).or_insert_with(|| fresh).clone();
+        let value = map.entry(key).or_insert(fresh).clone();
         (value, false)
     }
 
     /// Resolves a batch of validated ROUTE pairs in one pass, calling
-    /// `sink(index, reply, hit)` for each pair in order.
-    ///
-    /// On the flat path this is lock-free per pair. On the sharded path
-    /// the batch takes each touched shard lock at most twice (one probe
-    /// pass, one insert pass for the misses) instead of once per query;
-    /// `compute` runs outside any lock and the first insert wins.
-    pub fn route_many(
+    /// `sink(index, reply, hit)` for each pair in order: probe, and on a
+    /// miss compute and insert, before the next pair is looked at — so
+    /// a pair that repeats inside the batch is computed once and hits
+    /// thereafter. Lock-free on the flat side; on the sharded side one
+    /// uncontended lock per probe and per insert, never held while
+    /// `compute` runs.
+    pub fn route_many<R: Into<Arc<str>>>(
         &self,
         pairs: &[(Node, Node)],
-        mut compute: impl FnMut(Node, Node) -> String,
+        mut compute: impl FnMut(Node, Node) -> R,
         mut sink: impl FnMut(usize, Arc<str>, bool),
     ) {
-        if let Some(flat) = &self.routes {
-            for (i, &(x, y)) in pairs.iter().enumerate() {
-                match flat.slot(x, y) {
-                    Some(slot) => {
-                        let (v, hit) = flat.get_or_insert(slot, || compute(x, y));
-                        sink(i, v, hit);
-                    }
-                    None => {
-                        // Out-of-range pairs are rejected by validation
-                        // before they reach the cache; fall back to the
-                        // shard maps for safety if one slips through.
-                        let (v, hit) =
-                            self.get_or_insert_with(QueryKey::Route(x, y), || compute(x, y));
-                        sink(i, v, hit);
-                    }
-                }
-            }
-            return;
-        }
-        let shard_of: Vec<u8> = pairs
-            .iter()
-            .map(|&(x, y)| Self::shard_index(&QueryKey::Route(x, y)) as u8)
-            .collect();
-        let mut touched = [false; CACHE_SHARDS];
-        for &s in &shard_of {
-            touched[s as usize] = true;
-        }
-        let mut resolved: Vec<Option<(Arc<str>, bool)>> = vec![None; pairs.len()];
-        for (s, _) in touched.iter().enumerate().filter(|(_, t)| **t) {
-            let map = relock(self.shards[s].lock());
-            for (i, &(x, y)) in pairs.iter().enumerate() {
-                if shard_of[i] as usize == s {
-                    if let Some(v) = map.get(&QueryKey::Route(x, y)) {
-                        resolved[i] = Some((v.clone(), true));
-                    }
-                }
-            }
-        }
-        let mut fresh: Vec<Option<Arc<str>>> = pairs
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| resolved[i].is_none().then(|| Arc::from(compute(x, y))))
-            .collect();
-        for (s, _) in touched.iter().enumerate().filter(|(_, t)| **t) {
-            let mut map = relock(self.shards[s].lock());
-            for (i, &(x, y)) in pairs.iter().enumerate() {
-                // `fresh[i]` is populated exactly for the pairs the
-                // probe pass left unresolved, so taking it doubles as
-                // the "still a miss" check.
-                if shard_of[i] as usize == s {
-                    if let Some(computed) = fresh[i].take() {
-                        let value = map
-                            .entry(QueryKey::Route(x, y))
-                            .or_insert_with(|| computed)
-                            .clone();
-                        resolved[i] = Some((value, false));
-                    }
-                }
-            }
-        }
-        for (i, entry) in resolved.into_iter().enumerate() {
-            // Both passes together resolve every index; if that ever
-            // breaks, answer the pair with an ERR instead of panicking
-            // the shard that asked.
-            let (v, hit) =
-                entry.unwrap_or_else(|| (Arc::from("ERR internal: unresolved batch pair"), false));
+        for (i, &(x, y)) in pairs.iter().enumerate() {
+            // Out-of-range pairs are rejected by validation before they
+            // reach the cache; one that slips through finds no flat slot
+            // and lands in the shard maps.
+            let (v, hit) = self.get_or_insert_with(QueryKey::Route(x, y), || compute(x, y));
             sink(i, v, hit);
         }
     }
@@ -481,11 +422,62 @@ mod tests {
             .get_or_insert_with(QueryKey::Route(0, 5), || "answer".to_string());
         let (v2, hit2) = epoch
             .cache()
-            .get_or_insert_with(QueryKey::Route(0, 5), || unreachable!("cached"));
+            .get_or_insert_with(QueryKey::Route(0, 5), || -> String {
+                unreachable!("cached")
+            });
         assert!(!hit1);
         assert!(hit2);
         assert_eq!(&*v1, "answer");
         assert_eq!(v1, v2);
         assert_eq!(epoch.cache().len(), 1);
+    }
+
+    #[test]
+    fn a_batch_computes_each_missing_pair_once() {
+        // Flat side and sharded side of the size switch.
+        for n in [FLAT_ROUTE_MAX_N, FLAT_ROUTE_MAX_N + 1, 1024] {
+            let cache = QueryCache::new(n);
+            let last = (n - 1) as Node;
+            cache.route_many(&[(0, last)], |_, _| "warm", |_, _, hit| assert!(!hit));
+            // Eight lookups: one already cached, three distinct missing
+            // pairs, two of them repeated inside the burst.
+            let batch = [
+                (0, last),
+                (1, 2),
+                (2, 1),
+                (1, 2),
+                (last, 0),
+                (2, 1),
+                (1, 2),
+                (0, last),
+            ];
+            let mut computed = Vec::new();
+            let mut seen = Vec::new();
+            cache.route_many(
+                &batch,
+                |x, y| {
+                    computed.push((x, y));
+                    format!("{x}>{y}")
+                },
+                |i, reply, hit| seen.push((i, reply, hit)),
+            );
+            assert_eq!(computed, [(1, 2), (2, 1), (last, 0)], "n = {n}");
+            let hits: Vec<bool> = seen.iter().map(|(_, _, hit)| *hit).collect();
+            assert_eq!(
+                hits,
+                [true, false, false, true, false, true, true, true],
+                "n = {n}"
+            );
+            for (i, reply, _) in &seen {
+                let (x, y) = batch[*i];
+                let want = if (x, y) == (0, last) {
+                    "warm".to_string()
+                } else {
+                    format!("{x}>{y}")
+                };
+                assert_eq!(**reply, *want, "n = {n}, index {i}");
+            }
+            assert_eq!(cache.len(), 4, "n = {n}");
+        }
     }
 }

@@ -20,7 +20,17 @@
 //!   surviving routes), `DIAM`, `TOLERATE` (bound-aware what-if on top
 //!   of the current faults, decided by the `ftr-audit` pruned
 //!   searcher) and `AUDIT` (fully-accounted pristine-snapshot audit)
-//!   as pure functions of one epoch;
+//!   as pure functions of one epoch. A `ROUTE` reply is a
+//!   concatenation of stored routes, and the miss path treats it as
+//!   one: [`RouteScratch`] holds the buffers of one relay search (BFS
+//!   tree, visited words, queue, relay chain) and of one rendered
+//!   reply, a shard reuses its scratch for every miss, and each hop's
+//!   stored path streams from the route table's arena into the reply
+//!   bytes through `proto`'s one decimal node-list writer — the only
+//!   allocation of a miss is the `Arc<str>` the epoch cache keeps.
+//!   [`query::route`] +
+//!   [`proto::render_route`] are the reference semantics, built on the
+//!   same search and the same writer;
 //! * [`Server`] / [`Client`] — a line-delimited TCP protocol served by
 //!   sharded readiness-polling threads (each shard multiplexes many
 //!   nonblocking connections, frame-decodes whole read buffers into
@@ -89,7 +99,7 @@ pub use client::{Client, ReplyLines};
 pub use epoch::{Epoch, EpochReader, EpochStore, QueryCache, QueryKey};
 pub use ingest::{EventQueue, FaultEvent, IngestReport, Ingestor};
 pub use metrics::ServeObs;
-pub use query::{EngineWindow, QueryError, RouteReply, ToleranceAnswer};
+pub use query::{EngineWindow, QueryError, RouteReply, RouteScratch, ToleranceAnswer};
 pub use server::{Server, ServerConfig, ServerHandle, ServerStats, SpawnedServer};
 pub use snapshot::{RoutingSnapshot, SnapshotError};
 pub use watchdog::SloConfig;

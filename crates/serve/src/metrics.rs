@@ -477,6 +477,14 @@ impl ServeObs {
         &self.trace
     }
 
+    /// The flight recorder's span store (the `SPANS`/`SLOW` source).
+    /// Tests arm its rolling p99 with injected batch durations, so what
+    /// `SLOW` retains does not hang on how long the host took over a
+    /// handful of warm-up batches.
+    pub fn span_store(&self) -> &SpanStore {
+        &self.spans
+    }
+
     /// The last `n` journal events, oldest first.
     pub fn trace_last(&self, n: usize) -> Vec<TraceEvent> {
         self.trace.last(n)

@@ -253,13 +253,89 @@ fn parse_num<T: std::str::FromStr>(token: &str, what: &str) -> Result<T, String>
     token.parse().map_err(|_| format!("bad {what} {token:?}"))
 }
 
+/// `00`…`99` as ASCII pairs: [`write_dec`] emits two digits per
+/// division instead of one.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    00010203040506070809101112131415161718192021222324\
+    25262728293031323334353637383940414243444546474849\
+    50515253545556575859606162636465666768697071727374\
+    75767778798081828384858687888990919293949596979899";
+
+/// Appends `v` in decimal to `out` — no `fmt`, no allocation beyond
+/// `out`'s own growth.
+pub(crate) fn write_dec(out: &mut Vec<u8>, mut v: u32) {
+    // u32::MAX has ten digits; filled from the back.
+    let mut buf = [0u8; 10];
+    let mut at = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&buf[at..]);
+}
+
+/// Appends `nodes` in decimal, `sep` between neighbours — the one
+/// node-list writer every reply in this crate goes through (`ROUTE`
+/// paths with `b' '`, fault sets and witnesses with `b','`).
+pub(crate) fn write_nodes(out: &mut Vec<u8>, sep: u8, nodes: impl IntoIterator<Item = Node>) {
+    let mut nodes = nodes.into_iter();
+    if let Some(first) = nodes.next() {
+        write_dec(out, first);
+    }
+    for v in nodes {
+        out.push(sep);
+        write_dec(out, v);
+    }
+}
+
+/// Reply bytes as the `str` they are: the writers above emit ASCII
+/// only, so the fallback is unreachable — an `ERR` line rather than a
+/// panic on the request path if that ever breaks.
+pub(crate) fn reply_str(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).unwrap_or("ERR internal: reply is not UTF-8")
+}
+
+/// Heads of the three `ROUTE` replies; after the first two come a
+/// space and the path's nodes, space-separated.
+pub(crate) const OK_DIRECT: &[u8] = b"OK DIRECT";
+pub(crate) const OK_DETOUR: &[u8] = b"OK DETOUR";
+pub(crate) const OK_UNREACHABLE: &[u8] = b"OK UNREACHABLE";
+
 /// Renders a [`RouteReply`] as its `OK …` line (without newline).
 pub fn render_route(reply: &RouteReply) -> String {
-    match reply {
-        RouteReply::Direct(nodes) => format!("OK DIRECT {}", join(nodes)),
-        RouteReply::Detour(nodes) => format!("OK DETOUR {}", join(nodes)),
-        RouteReply::Unreachable => "OK UNREACHABLE".to_string(),
+    let (head, nodes) = match reply {
+        RouteReply::Direct(nodes) => (OK_DIRECT, nodes),
+        RouteReply::Detour(nodes) => (OK_DETOUR, nodes),
+        RouteReply::Unreachable => return reply_str(OK_UNREACHABLE).to_owned(),
+    };
+    // Ids up to four digits plus a separator: right for n < 10^4, and a
+    // low first guess beyond.
+    let mut out = Vec::with_capacity(head.len() + 1 + 5 * nodes.len());
+    out.extend_from_slice(head);
+    out.push(b' ');
+    write_nodes(&mut out, b' ', nodes.iter().copied());
+    reply_str(&out).to_owned()
+}
+
+/// Renders a node list for a `key=<v,…>` reply field: comma-separated
+/// decimal ids, `-` when empty (fault sets, witnesses).
+pub(crate) fn render_node_list(nodes: impl IntoIterator<Item = Node>) -> String {
+    let mut out = Vec::new();
+    write_nodes(&mut out, b',', nodes);
+    if out.is_empty() {
+        out.push(b'-');
     }
+    reply_str(&out).to_owned()
 }
 
 /// Renders a diameter measurement (`None` = disconnected).
@@ -268,11 +344,6 @@ pub fn render_diameter(d: Option<u32>) -> String {
         Some(d) => format!("OK DIAM {d}"),
         None => "OK DIAM disconnected".to_string(),
     }
-}
-
-fn join(nodes: &[Node]) -> String {
-    let rendered: Vec<String> = nodes.iter().map(|v| v.to_string()).collect();
-    rendered.join(" ")
 }
 
 #[cfg(test)]
@@ -379,5 +450,33 @@ mod tests {
         assert_eq!(render_route(&RouteReply::Unreachable), "OK UNREACHABLE");
         assert_eq!(render_diameter(Some(3)), "OK DIAM 3");
         assert_eq!(render_diameter(None), "OK DIAM disconnected");
+    }
+
+    #[test]
+    fn decimal_writer_matches_fmt_at_every_digit_boundary() {
+        let mut boundaries = vec![0, 9, 10, 99, 100, 9999, 10_000, u32::MAX];
+        for digits in 1..10 {
+            let pow = 10u32.pow(digits);
+            boundaries.extend([pow - 1, pow, pow + 1]);
+        }
+        boundaries.extend((0..2_000).map(|i| i * 2_147_483 + 7));
+        for v in boundaries {
+            let mut out = b"x".to_vec();
+            write_dec(&mut out, v);
+            assert_eq!(reply_str(&out), format!("x{v}"));
+        }
+    }
+
+    #[test]
+    fn node_lists_separate_without_trailing_separator() {
+        let mut out = Vec::new();
+        write_nodes(&mut out, b' ', []);
+        assert!(out.is_empty());
+        write_nodes(&mut out, b' ', [10_000]);
+        assert_eq!(out, b"10000");
+        write_nodes(&mut out, b',', [0, 99, u32::MAX]);
+        assert_eq!(out, b"100000,99,4294967295");
+        assert_eq!(render_node_list([]), "-");
+        assert_eq!(render_node_list([7, 2]), "7,2");
     }
 }

@@ -5,13 +5,14 @@
 //! produce the same reply, so a memoized answer is exactly as good as a
 //! recomputed one for the epoch it was computed under.
 
-use std::collections::VecDeque;
+use std::sync::Arc;
 
 use ftr_audit::{SearchConfig, SearchMode, Verdict};
 use ftr_core::ToleranceClaim;
 use ftr_graph::{Node, NodeSet};
 
 use crate::epoch::Epoch;
+use crate::proto::{reply_str, write_nodes, OK_DETOUR, OK_DIRECT, OK_UNREACHABLE};
 use crate::snapshot::RoutingSnapshot;
 
 /// Reply to a `ROUTE x y` query.
@@ -112,8 +113,82 @@ pub fn validate_route_query(
     Ok(())
 }
 
+/// Reusable buffers for the `ROUTE` miss path: one relay search and one
+/// reply render per call, no allocation once the buffers have grown to
+/// the network's size. The server keeps one per shard; every field is
+/// overwritten before it is read, so a scratch may move between epochs
+/// and snapshots freely.
+#[derive(Debug, Default)]
+pub struct RouteScratch {
+    /// BFS tree: `pred[v]` is valid only where `seen` has `v`'s bit.
+    pred: Vec<Node>,
+    /// Visited bitset, one word per 64 nodes (the rows' layout).
+    seen: Vec<u64>,
+    /// BFS queue; popped by index, so it doubles as the visit order.
+    queue: Vec<Node>,
+    /// Relay endpoints `x, r1, …, y` of the chain last found.
+    relays: Vec<Node>,
+    /// The reply line last rendered.
+    out: Vec<u8>,
+}
+
+/// How a valid pair is connected at an epoch; the chain itself is left
+/// in [`RouteScratch::relays`].
+enum Chain {
+    Direct,
+    Detour,
+    Unreachable,
+}
+
+// Live arcs exist only for routed pairs, so route lookups along a chain
+// cannot miss; if the invariant ever breaks, the pair degrades to a
+// structured ERR instead of panicking the shard.
+const NO_PATH: QueryError = QueryError::Internal("live arc has no stored route");
+
+/// Finds the chain of surviving routes `ROUTE x y` travels at `epoch`
+/// and leaves its relay endpoints in `scratch.relays` (`[x, y]` when the
+/// pair's own route survives, nothing when the pair is unreachable).
+fn find_chain(
+    snapshot: &RoutingSnapshot,
+    epoch: &Epoch,
+    x: Node,
+    y: Node,
+    scratch: &mut RouteScratch,
+) -> Result<Chain, QueryError> {
+    validate_route_query(snapshot, x, y)?;
+    scratch.relays.clear();
+    if epoch.faults().contains(x) || epoch.faults().contains(y) {
+        return Ok(Chain::Unreachable);
+    }
+    if epoch.arc_survives(x, y) {
+        scratch.relays.extend([x, y]);
+        return Ok(Chain::Direct);
+    }
+    Ok(if relay_chain(epoch, x, y, scratch) {
+        Chain::Detour
+    } else {
+        Chain::Unreachable
+    })
+}
+
+/// The stored node path of each hop of a relay chain, in travel order,
+/// with the joint a hop shares with the one before it dropped — chained
+/// together they are the reply's node list.
+fn hop_paths<'a>(
+    snapshot: &'a RoutingSnapshot,
+    relays: &'a [Node],
+) -> impl Iterator<Item = Result<impl Iterator<Item = Node> + 'a, QueryError>> + 'a {
+    relays.windows(2).enumerate().map(|(i, hop)| {
+        let view = snapshot.routing().route(hop[0], hop[1]).ok_or(NO_PATH)?;
+        Ok(view.iter().skip(usize::from(i > 0)))
+    })
+}
+
 /// Answers `ROUTE x y` at `epoch`: the surviving primary route, a
-/// shortest detour over surviving routes, or unreachability.
+/// shortest detour over surviving routes, or unreachability. The
+/// reference semantics of the verb; the served path
+/// ([`route_batch_with`]) renders the same chain without materializing
+/// it.
 ///
 /// # Errors
 ///
@@ -124,71 +199,74 @@ pub fn route(
     x: Node,
     y: Node,
 ) -> Result<RouteReply, QueryError> {
-    validate_route_query(snapshot, x, y)?;
-    if epoch.faults().contains(x) || epoch.faults().contains(y) {
-        return Ok(RouteReply::Unreachable);
+    let mut scratch = RouteScratch::default();
+    let chain = find_chain(snapshot, epoch, x, y, &mut scratch)?;
+    let mut nodes: Vec<Node> = Vec::new();
+    for path in hop_paths(snapshot, &scratch.relays) {
+        nodes.extend(path?);
     }
-    // Live arcs exist only for routed pairs, so these lookups cannot
-    // miss; if the invariant ever breaks, the pair degrades to a
-    // structured ERR instead of panicking the shard.
-    const NO_PATH: QueryError = QueryError::Internal("live arc has no stored route");
-    if epoch.arc_survives(x, y) {
-        let view = snapshot.routing().route(x, y).ok_or(NO_PATH)?;
-        return Ok(RouteReply::Direct(view.nodes()));
-    }
-    match relay_chain(epoch, x, y) {
-        Some(relays) => {
-            // Expand each surviving hop into its stored node path,
-            // dropping the duplicated joint between consecutive hops.
-            let mut nodes: Vec<Node> = Vec::new();
-            for hop in relays.windows(2) {
-                let view = snapshot.routing().route(hop[0], hop[1]).ok_or(NO_PATH)?;
-                let path = view.nodes();
-                let skip = usize::from(!nodes.is_empty());
-                nodes.extend(path.into_iter().skip(skip));
-            }
-            Ok(RouteReply::Detour(nodes))
+    Ok(match chain {
+        Chain::Direct => RouteReply::Direct(nodes),
+        Chain::Detour => RouteReply::Detour(nodes),
+        Chain::Unreachable => RouteReply::Unreachable,
+    })
+}
+
+/// Renders the reply line of `ROUTE x y` at `epoch` into `scratch.out`,
+/// byte for byte `proto::render_route(route(..))` (or its `ERR` line):
+/// each hop's stored path streams straight into the reply bytes.
+fn route_into(
+    snapshot: &RoutingSnapshot,
+    epoch: &Epoch,
+    x: Node,
+    y: Node,
+    scratch: &mut RouteScratch,
+) {
+    let chain = find_chain(snapshot, epoch, x, y, scratch);
+    let RouteScratch { relays, out, .. } = scratch;
+    out.clear();
+    let streamed = chain.and_then(|chain| {
+        out.extend_from_slice(match chain {
+            Chain::Direct => OK_DIRECT,
+            Chain::Detour => OK_DETOUR,
+            Chain::Unreachable => OK_UNREACHABLE,
+        });
+        for path in hop_paths(snapshot, relays) {
+            out.push(b' ');
+            write_nodes(out, b' ', path?);
         }
-        None => Ok(RouteReply::Unreachable),
+        Ok(())
+    });
+    if let Err(e) = streamed {
+        out.clear();
+        out.extend_from_slice(format!("ERR {e}").as_bytes());
     }
 }
 
 /// Answers a batch of **pre-validated** `ROUTE` pairs against one epoch
 /// in a single cache pass, calling `sink(index, rendered_reply, hit)`
-/// per pair in order.
-///
-/// This is the server's pipeline-window fast path: the caller acquires
-/// the epoch once for the whole window, validation (and therefore every
-/// `ERR`) happens before the cache is touched, and the cache resolves
-/// the window with at most one lock acquisition per shard — lock-free
-/// outright on small graphs ([`crate::QueryCache::route_many`]). Misses
-/// are computed by [`route`] and rendered once; the `Arc<str>` handed to
-/// `sink` is the cached allocation, never a copy.
-///
-/// Pairs are expected to pass [`validate_route_query`] — the caller
-/// rejects invalid ones before building the batch. A pair that fails
-/// anyway is answered with its rendered `ERR` line (and that line is
-/// what the cache remembers for the pair), never a panic.
+/// per pair in order. [`route_batch_with`] on a scratch of its own, for
+/// callers that answer one batch; the server keeps a scratch per shard.
 pub fn route_batch(
     snapshot: &RoutingSnapshot,
     epoch: &Epoch,
     pairs: &[(Node, Node)],
-    sink: impl FnMut(usize, std::sync::Arc<str>, bool),
+    sink: impl FnMut(usize, Arc<str>, bool),
 ) {
-    epoch.cache().route_many(
+    route_batch_with(
+        snapshot,
+        epoch,
         pairs,
-        |x, y| match route(snapshot, epoch, x, y) {
-            Ok(reply) => crate::proto::render_route(&reply),
-            Err(e) => format!("ERR {e}"),
-        },
+        &mut RouteScratch::default(),
+        None,
         sink,
     );
 }
 
 /// The window of wall time the engine (cache-miss compute) was active
-/// during one [`route_batch_observed`] call: first miss start to last
-/// miss end, in [`ftr_obs::monotonic_nanos`] nanos. Both zero when the
-/// whole batch was served from cache.
+/// during one [`route_batch_with`] call: first miss start to last miss
+/// end, in [`ftr_obs::monotonic_nanos`] nanos. Both zero when the whole
+/// batch was served from cache.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct EngineWindow {
     /// Start of the first cache-miss computation.
@@ -204,72 +282,110 @@ impl EngineWindow {
     }
 }
 
-/// [`route_batch`] plus flight-recorder observation: timestamps the
-/// engine's share of the cache pass into `window` (plain writes into a
-/// caller-owned struct — no locks, no atomics, hot-path safe). The
-/// caller turns the window into a synthesized `engine` child span under
-/// its `cache` span.
-pub fn route_batch_observed(
+/// The server's pipeline-window fast path: the caller acquires the
+/// epoch once for the whole window, validation (and therefore every
+/// `ERR`) happens before the cache is touched, and the cache resolves
+/// each pair with one probe — lock-free outright on small graphs
+/// ([`crate::QueryCache::route_many`]). A miss costs one relay search
+/// over `scratch` and one allocation, the `Arc<str>` the cache keeps;
+/// that `Arc` is what `sink` receives, never a copy.
+///
+/// With a `window`, the flight recorder's observation rides along: the
+/// engine's share of the cache pass is timestamped into it (plain
+/// writes into a caller-owned struct — no locks, no atomics, hot-path
+/// safe), for the caller to record as an `engine` span under its
+/// `cache` span.
+///
+/// Pairs are expected to pass [`validate_route_query`] — the caller
+/// rejects invalid ones before building the batch. A pair that fails
+/// anyway is answered with its rendered `ERR` line (and that line is
+/// what the cache remembers for the pair), never a panic.
+pub fn route_batch_with(
     snapshot: &RoutingSnapshot,
     epoch: &Epoch,
     pairs: &[(Node, Node)],
-    window: &mut EngineWindow,
-    sink: impl FnMut(usize, std::sync::Arc<str>, bool),
+    scratch: &mut RouteScratch,
+    mut window: Option<&mut EngineWindow>,
+    sink: impl FnMut(usize, Arc<str>, bool),
 ) {
     epoch.cache().route_many(
         pairs,
-        |x, y| {
-            if window.start_nanos == 0 {
-                window.start_nanos = ftr_obs::monotonic_nanos();
+        |x, y| -> Arc<str> {
+            if let Some(w) = window.as_deref_mut().filter(|w| w.start_nanos == 0) {
+                w.start_nanos = ftr_obs::monotonic_nanos();
             }
-            let rendered = match route(snapshot, epoch, x, y) {
-                Ok(reply) => crate::proto::render_route(&reply),
-                Err(e) => format!("ERR {e}"),
-            };
-            window.end_nanos = ftr_obs::monotonic_nanos();
-            rendered
+            route_into(snapshot, epoch, x, y, scratch);
+            let reply = Arc::from(reply_str(&scratch.out));
+            if let Some(w) = window.as_deref_mut() {
+                w.end_nanos = ftr_obs::monotonic_nanos();
+            }
+            reply
         },
         sink,
     );
 }
 
 /// BFS over the epoch's surviving route graph (faulty nodes masked out)
-/// from `x` to `y`, returning the relay endpoints `x, r1, …, y` of a
-/// shortest chain of surviving routes.
-fn relay_chain(epoch: &Epoch, x: Node, y: Node) -> Option<Vec<Node>> {
-    let n = epoch.live().node_count();
-    let mut pred: Vec<Node> = vec![Node::MAX; n];
-    let mut queue = VecDeque::new();
-    pred[x as usize] = x;
-    queue.push_back(x);
-    'search: while let Some(u) = queue.pop_front() {
-        for (wi, &word) in epoch.live().row(u).iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let v = (wi * 64) as Node + bits.trailing_zeros();
-                bits &= bits - 1;
-                if pred[v as usize] != Node::MAX || epoch.faults().contains(v) {
-                    continue;
-                }
+/// from `x` to `y`, both healthy: leaves the relay endpoints `x, r1, …,
+/// y` of a shortest chain of surviving routes in `scratch.relays` and
+/// returns whether there is one. Among shortest chains it takes the one
+/// whose relays were reached first, scanning rows in ascending node
+/// order — the tie-break every reply (cached or fresh) must share.
+fn relay_chain(epoch: &Epoch, x: Node, y: Node, scratch: &mut RouteScratch) -> bool {
+    let RouteScratch {
+        pred,
+        seen,
+        queue,
+        relays,
+        ..
+    } = scratch;
+    let live = epoch.live();
+    let faults = epoch.faults().words();
+    pred.resize(live.node_count(), Node::MAX);
+    seen.clear();
+    seen.resize(live.stride(), 0);
+    queue.clear();
+    let bit = |v: Node| (v as usize / 64, 1u64 << (v % 64));
+    let (x_word, x_bit) = bit(x);
+    let (y_word, y_bit) = bit(y);
+    seen[x_word] |= x_bit;
+    queue.push(x);
+    let mut head = 0;
+    let found = loop {
+        let Some(&u) = queue.get(head) else {
+            break false;
+        };
+        head += 1;
+        let row = live.row(u);
+        // `y` is healthy and unseen until the search ends, so its bit in
+        // the popped row decides before any of the row is expanded.
+        if row[y_word] & y_bit != 0 {
+            pred[y as usize] = u;
+            break true;
+        }
+        for (wi, ((&word, seen), &faulty)) in
+            row.iter().zip(seen.iter_mut()).zip(faults).enumerate()
+        {
+            let mut fresh = word & !*seen & !faulty;
+            *seen |= fresh;
+            while fresh != 0 {
+                let v = (wi * 64) as Node + fresh.trailing_zeros();
+                fresh &= fresh - 1;
                 pred[v as usize] = u;
-                if v == y {
-                    break 'search;
-                }
-                queue.push_back(v);
+                queue.push(v);
             }
         }
+    };
+    if found {
+        relays.push(y);
+        let mut at = y;
+        while at != x {
+            at = pred[at as usize];
+            relays.push(at);
+        }
+        relays.reverse();
     }
-    if pred[y as usize] == Node::MAX {
-        return None;
-    }
-    let mut relays = vec![y];
-    let mut at = y;
-    while at != x {
-        at = pred[at as usize];
-        relays.push(at);
-    }
-    relays.reverse();
-    Some(relays)
+    found
 }
 
 /// Outcome of a `TOLERATE` measurement at one epoch: the pruned
@@ -467,11 +583,7 @@ fn sets_to_visit(n: u64, k: u64) -> u64 {
 
 /// The current fault set rendered for diagnostics (`-` when empty).
 pub fn render_faults(faults: &NodeSet) -> String {
-    if faults.is_empty() {
-        return "-".to_string();
-    }
-    let ids: Vec<String> = faults.iter().map(|v| v.to_string()).collect();
-    ids.join(",")
+    crate::proto::render_node_list(faults.iter())
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ use crate::metrics::{
     LAT_VERBS, VERBS,
 };
 use crate::poll::PollSet;
-use crate::proto::{parse_request, render_diameter, Request};
+use crate::proto::{parse_request, render_diameter, render_node_list, Request};
 use crate::query::{self, QueryError};
 use crate::snapshot::RoutingSnapshot;
 use crate::watchdog::{SloConfig, Watchdog};
@@ -488,6 +488,8 @@ struct DispatchScratch {
     jobs: Vec<(u32, Node, Node)>,
     /// The `(x, y)` column of `jobs`, contiguous for the cache pass.
     pairs: Vec<(Node, Node)>,
+    /// Relay-search and render buffers of the ROUTE miss path.
+    route: query::RouteScratch,
 }
 
 /// Per-shard state: an epoch reader (lock-free current-epoch access),
@@ -676,6 +678,7 @@ impl Shard<'_> {
             replies,
             jobs,
             pairs,
+            route,
         } = scratch;
         replies.clear();
         jobs.clear();
@@ -757,33 +760,29 @@ impl Shard<'_> {
         if !pairs.is_empty() {
             let mut hits = 0u64;
             let start = record.then(Instant::now);
-            if spans_on {
-                // The cache span covers the whole batched lookup; misses
-                // that fall through to the engine report their first/last
-                // compute window, recorded as a child "engine" span.
-                let cache_span = local.recorder.start("cache");
-                let mut window = query::EngineWindow::default();
-                query::route_batch_observed(
-                    ctx.snapshot,
-                    &epoch,
-                    pairs,
-                    &mut window,
-                    |j, value, hit| {
-                        hits += u64::from(hit);
-                        replies[jobs[j].0 as usize] = Reply::Shared(value);
-                    },
-                );
-                if window.active() {
-                    local
-                        .recorder
-                        .record_window("engine", window.start_nanos, window.end_nanos);
-                }
-                local.recorder.end(cache_span);
-            } else {
-                query::route_batch(ctx.snapshot, &epoch, pairs, |j, value, hit| {
+            // The cache span covers the whole batched lookup; misses
+            // that fall through to the engine report their first/last
+            // compute window, recorded as a child "engine" span.
+            let cache_span = spans_on.then(|| local.recorder.start("cache"));
+            let mut window = query::EngineWindow::default();
+            query::route_batch_with(
+                ctx.snapshot,
+                &epoch,
+                pairs,
+                route,
+                spans_on.then_some(&mut window),
+                |j, value, hit| {
                     hits += u64::from(hit);
                     replies[jobs[j].0 as usize] = Reply::Shared(value);
-                });
+                },
+            );
+            if window.active() {
+                local
+                    .recorder
+                    .record_window("engine", window.start_nanos, window.end_nanos);
+            }
+            if let Some(span) = cache_span {
+                local.recorder.end(span);
             }
             if let Some(start) = start {
                 // Batch-attributed ROUTE latency, mirroring the load
@@ -1097,7 +1096,7 @@ fn render_tolerate(a: &query::ToleranceAnswer) -> String {
         format!(
             "OK TOLERATE no found={} witness={} sets={}",
             render_found(a.found),
-            render_witness(&a.witness),
+            render_node_list(a.witness.iter().copied()),
             a.sets
         )
     }
@@ -1117,7 +1116,7 @@ fn render_audit(a: &query::AuditAnswer) -> String {
         format!(
             "OK AUDIT violated found={} witness={} visited={}",
             render_found(a.found),
-            render_witness(&a.witness),
+            render_node_list(a.witness.iter().copied()),
             a.visited
         )
     }
@@ -1129,14 +1128,6 @@ fn render_found(found: Option<Option<u32>>) -> String {
         Some(None) => "disconnect".to_string(),
         None => "-".to_string(),
     }
-}
-
-fn render_witness(witness: &[ftr_graph::Node]) -> String {
-    if witness.is_empty() {
-        return "-".to_string();
-    }
-    let parts: Vec<String> = witness.iter().map(|v| v.to_string()).collect();
-    parts.join(",")
 }
 
 #[cfg(test)]

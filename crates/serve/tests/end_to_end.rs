@@ -6,6 +6,7 @@ use std::time::{Duration, Instant};
 
 use ftr_core::{KernelRouting, RouteTable};
 use ftr_graph::{gen, NodeSet};
+use ftr_obs::BatchSpans;
 use ftr_serve::{Client, RoutingSnapshot, Server, ServerConfig};
 
 fn start_petersen_server() -> (ftr_serve::SpawnedServer, RoutingSnapshot) {
@@ -517,11 +518,27 @@ fn flight_recorder_captures_slow_queries_spans_and_lineage() {
     .spawn();
     let mut client = Client::connect(server.addr()).unwrap();
 
-    // Warm the rolling p99: slow retention only arms once the duration
-    // histogram holds enough samples (one batch per blocking request).
-    for _ in 0..40 {
-        assert!(client.ping().unwrap());
-    }
+    // Arm the rolling p99 with injected durations. Retention compares a
+    // batch with the p99 of every batch before it, and over a few dozen
+    // real warm-up batches that p99 is their maximum: one ping batch
+    // descheduled for longer than the sweep takes (a loaded host does
+    // that about one run in eight) and the sweep is not retained. Ten
+    // thousand 1 ns batches put the p99 at 1 ns until a hundred real
+    // batches have been seen — this test sends about ten.
+    let mut baseline: Vec<BatchSpans> = (0..10_000)
+        .map(|batch| BatchSpans {
+            shard: 0,
+            batch,
+            epoch: 0,
+            requests: 1,
+            total_nanos: 1,
+            spans: Vec::new(),
+        })
+        .collect();
+    let store = server.handle().obs().span_store();
+    store.ingest(&mut baseline);
+    assert_eq!(store.p99_nanos(), 1);
+    assert!(client.ping().unwrap());
     // A ROUTE batch so the recent ring holds cache/engine stages.
     assert!(client.route(0, 5).unwrap().starts_with("OK "));
     // The slow query.
@@ -572,19 +589,20 @@ fn flight_recorder_captures_slow_queries_spans_and_lineage() {
         );
     }
     assert_eq!(roots, 1, "slow batch must have exactly one root");
-    // The tolerate stage dominates the batch: the root's duration is
-    // mostly the search.
-    let root_dur: u64 = tree
+    // The stages under the root run one after another, so together
+    // they account for at most the root's duration — the search among
+    // them. (How large a share the search takes is the host's business:
+    // a write that waits for a descheduled peer can outlast it.)
+    let root = tree.iter().find(|f| f["parent"] == "0").unwrap();
+    let root_dur: u64 = root["dur_ns"].parse().unwrap();
+    let staged: u64 = tree
         .iter()
-        .find(|f| f["parent"] == "0")
-        .map(|f| f["dur_ns"].parse().unwrap())
-        .unwrap();
+        .filter(|f| f["parent"] == root["span"])
+        .map(|f| f["dur_ns"].parse::<u64>().unwrap())
+        .sum();
     let tolerate_dur: u64 = parse_fields(tolerate_line)["dur_ns"].parse().unwrap();
-    assert!(tolerate_dur <= root_dur, "child longer than root");
-    assert!(
-        tolerate_dur * 2 >= root_dur,
-        "tolerate stage should dominate its batch: {tolerate_dur} of {root_dur}"
-    );
+    assert!(tolerate_dur > 0 && tolerate_dur <= staged, "{tree:#?}");
+    assert!(staged <= root_dur, "stages outlast their batch: {tree:#?}");
 
     // SPANS covers the recent ring, including the ROUTE batch's cache
     // stage (and the engine window under it for the cold miss).
@@ -669,3 +687,77 @@ fn schemes_and_plan_verbs_answer_over_the_wire() {
     drop(client);
     server.shutdown_and_join().unwrap();
 }
+
+/// Writes `requests` down one raw connection in a single segment and
+/// returns exactly `lines` reply lines as the bytes that came back.
+fn raw_exchange(stream: &mut std::net::TcpStream, requests: &str, lines: usize) -> String {
+    use std::io::{Read, Write};
+    stream.write_all(requests.as_bytes()).unwrap();
+    let mut got = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while got.iter().filter(|&&b| b == b'\n').count() < lines {
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "connection closed mid-transcript");
+        got.extend_from_slice(&chunk[..n]);
+    }
+    String::from_utf8(got).unwrap()
+}
+
+#[test]
+fn golden_transcript_pins_the_bytes_on_the_wire() {
+    // Everything the petersen kernel server says here is a pure function
+    // of (snapshot, fault set): the transcript was recorded from the
+    // per-node `to_string` + `join` renderers this path replaced and
+    // must never move — clients and the benchmark's oracle compare
+    // reply bytes.
+    let (server, _) = start_petersen_server();
+    let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut control = Client::connect(server.addr()).unwrap();
+
+    let pristine = raw_exchange(
+        &mut raw,
+        "PING\nROUTE 0 5\nROUTE 5 0\nROUTE 2 9\nROUTE 0 0\nROUTE 0 10\nEPOCH\nTOLERATE 2 3\n",
+        8,
+    );
+    assert_eq!(pristine, GOLDEN_PRISTINE);
+
+    // One FAIL per epoch, so the ids are fixed too.
+    assert!(control.fail(1).unwrap());
+    assert_eq!(wait_for_faults(&mut control, 1), 1);
+    assert!(control.fail(6).unwrap());
+    assert_eq!(wait_for_faults(&mut control, 2), 2);
+
+    let faulted = raw_exchange(
+        &mut raw,
+        "EPOCH\nROUTE 0 1\nROUTE 0 5\nROUTE 2 9\nROUTE 9 2\nROUTE 2 9\nROUTE 7 3\nTOLERATE 4 2\nQUIT\n",
+        9,
+    );
+    assert_eq!(faulted, GOLDEN_FAULTED);
+
+    control.quit().unwrap();
+    server.shutdown_and_join().unwrap();
+}
+
+const GOLDEN_PRISTINE: &str = "\
+OK PONG
+OK DIRECT 0 5
+OK DIRECT 5 0
+OK DETOUR 2 1 6 9
+ERR route endpoints must differ
+ERR node 10 out of range
+OK EPOCH id=0 faults=-
+OK TOLERATE no found=3 witness=2,3,6 sets=4
+";
+
+const GOLDEN_FAULTED: &str = "\
+OK EPOCH id=2 faults=1,6
+OK UNREACHABLE
+OK DIRECT 0 5
+OK DETOUR 2 3 4 9
+OK DETOUR 9 4 3 2
+OK DETOUR 2 3 4 9
+OK DETOUR 7 2 3
+OK TOLERATE no found=disconnect witness=1,3,6,7 sets=11
+OK BYE
+";
