@@ -17,8 +17,8 @@ use ftr_audit::{
     audit, check, CertVerdict, Certificate, CheckError, SearchConfig, SearchMode, Verdict,
 };
 use ftr_core::{
-    verify_tolerance, BuiltTable, Compile, FaultStrategy, RouteTable, SchemeRegistry, SchemeSpec,
-    ToleranceClaim,
+    verify_tolerance, BuiltTable, Compile, FaultStrategy, GraphFacts, RouteTable, SchemeRegistry,
+    SchemeSpec, ToleranceClaim,
 };
 use ftr_graph::{gen, Graph, NodeSet};
 use proptest::prelude::*;
@@ -113,9 +113,10 @@ proptest! {
     ) {
         let registry = SchemeRegistry::standard();
         for (name, graph) in small_suite() {
+            let facts = GraphFacts::new(&graph);
             for scheme in registry.iter() {
                 let spec = SchemeSpec::named(scheme.name());
-                let Ok(built) = scheme.build(&graph, &spec.params) else {
+                let Ok(built) = scheme.build(&facts, &spec.params) else {
                     continue; // inapplicable on this graph
                 };
                 let g = built.guarantee();

@@ -5,9 +5,12 @@
 //! For each n ∈ {256, 1024, 4096} on `H(4, n)` (κ = 4, t = 3) the bench
 //! measures
 //!
-//! * **construct** — data-parallel per-source tree-routing derivation
-//!   plus sequential insertion and the final freeze (the full
-//!   `KernelRouting::build_with_separator` path),
+//! * **construct** — `SchemeRegistry::build_spec("kernel")`, the call
+//!   the daemon, the load generator and the auditor make: one
+//!   connectivity pass (κ and the minimum separator), data-parallel
+//!   per-source tree routings, sequential insertion and the final
+//!   freeze — with the three phases re-run on their own and printed as
+//!   the split,
 //! * **freeze** — the builder → CSR compaction alone, on a rebuilt
 //!   builder-state copy of the same table,
 //! * **compile** — `CompiledRoutes::from_routing` straight off the
@@ -25,7 +28,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftr_bench::scale_graph;
-use ftr_core::{verify_tolerance, Compile, FaultStrategy, KernelRouting, Routing, RoutingKind};
+use ftr_core::tree::tree_routing_on;
+use ftr_core::{
+    par, verify_tolerance, Compile, FaultStrategy, Routing, RoutingKind, SchemeRegistry, SchemeSpec,
+};
+use ftr_graph::connectivity::Connectivity;
+use ftr_graph::flow::SplitNetwork;
+use ftr_graph::{Graph, Node, Path};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -50,6 +59,7 @@ struct Point {
     n: usize,
     routes: usize,
     construct_s: f64,
+    split: Split,
     freeze_s: f64,
     compile_s: f64,
     verify_s: f64,
@@ -60,20 +70,67 @@ struct Point {
     builder_bytes_per_route: f64,
 }
 
-fn measure(n: usize) -> Point {
-    let g = scale_graph(n);
-    // The neighborhood of any node of H(4, n) separates it from the
-    // rest; handing it to the kernel directly skips the min-separator
-    // search, which is not what this bench measures.
-    let sep = g.neighbor_set(0);
+/// Where `construct_s` goes: the kernel build's three phases, each
+/// re-run on its own through the public API.
+struct Split {
+    connectivity_s: f64,
+    tree_routings_s: f64,
+    insert_freeze_s: f64,
+}
+
+fn split(g: &Graph, routes: usize) -> Split {
+    let start = Instant::now();
+    let conn = Connectivity::of(g);
+    let connectivity_s = start.elapsed().as_secs_f64();
+    assert_eq!(conn.kappa, K);
+    let sep = conn.separator.expect("H(4, n) is not complete");
+
+    let outside: Vec<Node> = g.nodes().filter(|&x| !sep.contains(x)).collect();
+    let start = Instant::now();
+    let batches = par::ordered_map_with(
+        outside.len(),
+        threads(),
+        || SplitNetwork::new(g),
+        |net, i| tree_routing_on(net, outside[i], &sep, K).expect("κ disjoint paths exist"),
+    );
+    let tree_routings_s = start.elapsed().as_secs_f64();
 
     let start = Instant::now();
-    let kernel = KernelRouting::build_with_separator(&g, &sep, K).expect("Γ(0) separates H(4, n)");
+    let mut routing = Routing::new(g.node_count(), RoutingKind::Bidirectional);
+    for (u, v) in g.edges() {
+        let edge = Path::edge(u, v).expect("edges join distinct nodes");
+        routing.insert(edge).expect("no conflicts");
+    }
+    for p in batches.into_iter().flatten() {
+        routing.insert(p).expect("no conflicts");
+    }
+    routing.freeze();
+    let insert_freeze_s = start.elapsed().as_secs_f64();
+    assert_eq!(
+        routing.route_count(),
+        routes,
+        "the split rebuilds the table"
+    );
+
+    Split {
+        connectivity_s,
+        tree_routings_s,
+        insert_freeze_s,
+    }
+}
+
+fn measure(n: usize) -> Point {
+    let g = scale_graph(n);
+    let start = Instant::now();
+    let built = SchemeRegistry::standard()
+        .build_spec(&g, &SchemeSpec::named("kernel"))
+        .expect("the kernel scheme applies to H(4, n)");
     let construct_s = start.elapsed().as_secs_f64();
-    let routing = kernel.routing();
+    let routing = built.routing().expect("the kernel table is single-route");
     assert!(routing.is_frozen(), "constructions return frozen tables");
     let routes = routing.route_count();
     let frozen_bytes = routing.memory_bytes();
+    let split = split(&g, routes);
 
     // Rebuild a builder-state copy of the same table to time the freeze
     // alone and to measure the footprint the CSR replaces.
@@ -97,8 +154,9 @@ fn measure(n: usize) -> Point {
     // Spot verification through the compiled engine: seeded random
     // fault sets of the full budget t = 3.
     let trials = (8192 / n).clamp(4, 32);
-    let f = kernel.tolerated_faults();
-    let claim = kernel.guarantee_theorem_3().claim();
+    let claim = built.guarantee().claim();
+    let f = claim.faults;
+    assert_eq!(f, K - 1, "default budget is the full tolerance t");
     let start = Instant::now();
     let report = verify_tolerance(
         &engine,
@@ -116,6 +174,7 @@ fn measure(n: usize) -> Point {
         n,
         routes,
         construct_s,
+        split,
         freeze_s,
         compile_s,
         verify_s,
@@ -133,13 +192,11 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e17_scale");
     group.sample_size(10);
     let g = scale_graph(SIZES[0]);
-    let sep = g.neighbor_set(0);
+    let (registry, spec) = (SchemeRegistry::standard(), SchemeSpec::named("kernel"));
     group.bench_with_input(
         BenchmarkId::new("kernel_construct", SIZES[0]),
-        &(&g, &sep),
-        |b, (g, sep)| {
-            b.iter(|| KernelRouting::build_with_separator(black_box(g), black_box(sep), K))
-        },
+        &g,
+        |b, g| b.iter(|| registry.build_spec(black_box(g), &spec)),
     );
     group.finish();
 
@@ -148,12 +205,16 @@ fn bench(c: &mut Criterion) {
     for n in SIZES.into_iter().filter(|&n| n <= cap) {
         let p = measure(n);
         eprintln!(
-            "e17_scale/n={}: {} routes, construct {:.2}s, freeze {:.4}s ({:.0} routes/s), \
+            "e17_scale/n={}: {} routes, construct {:.3}s (connectivity pass {:.3}s + tree \
+             routings {:.3}s + insert/freeze {:.3}s), freeze {:.4}s ({:.0} routes/s), \
              compile {:.3}s, verify {} trials in {:.2}s (worst diameter {:?} <= {}), \
              {:.1} B/route frozen vs {:.1} B/route builder ({:.1}x smaller)",
             p.n,
             p.routes,
             p.construct_s,
+            p.split.connectivity_s,
+            p.split.tree_routings_s,
+            p.split.insert_freeze_s,
             p.freeze_s,
             p.routes as f64 / p.freeze_s,
             p.compile_s,
@@ -181,6 +242,8 @@ fn bench(c: &mut Criterion) {
         .map(|p| {
             format!(
                 "    {{\n      \"n\": {},\n      \"routes\": {},\n      \"construct_s\": {:.4},\n      \
+                 \"construct_split_s\": {{\"connectivity_pass\": {:.4}, \"tree_routings\": {:.4}, \
+                 \"insert_freeze\": {:.4}}},\n      \
                  \"freeze_s\": {:.6},\n      \"freeze_routes_per_s\": {:.0},\n      \
                  \"compile_s\": {:.4},\n      \"compile_routes_per_s\": {:.0},\n      \
                  \"frozen_bytes_per_route\": {:.1},\n      \"builder_bytes_per_route\": {:.1},\n      \
@@ -190,6 +253,9 @@ fn bench(c: &mut Criterion) {
                 p.n,
                 p.routes,
                 p.construct_s,
+                p.split.connectivity_s,
+                p.split.tree_routings_s,
+                p.split.insert_freeze_s,
                 p.freeze_s,
                 p.routes as f64 / p.freeze_s,
                 p.compile_s,
@@ -207,7 +273,7 @@ fn bench(c: &mut Criterion) {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"e17_scale\",\n  \"graph\": \"harary(4, n) kernel routing\",\n  \
+        "{{\n  \"bench\": \"e17_scale\",\n  \"graph\": \"harary(4, n) kernel routing via build_spec\",\n  \
          \"k\": {K},\n  \"threads\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
         threads(),
         entries.join(",\n")

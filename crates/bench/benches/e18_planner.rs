@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ftr_bench::scale_graph;
 use ftr_core::{CandidateOutcome, FaultStrategy, Planner, PlannerRequest};
-use ftr_graph::{connectivity, gen, Graph};
+use ftr_graph::{gen, Graph};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -61,9 +61,9 @@ struct Point {
 
 fn measure(name: &'static str, g: &Graph) -> Point {
     let n = g.node_count();
-    let t = connectivity::vertex_connectivity(g).saturating_sub(1);
-    // The serving scenario: single-route tables only, full budget t.
-    let request = PlannerRequest::tolerate(t).single_routes();
+    // The serving scenario: single-route tables only, full budget t
+    // (the planner's own connectivity pass supplies it).
+    let request = PlannerRequest::full_tolerance().single_routes();
     let planner = Planner::new();
 
     let start = Instant::now();
@@ -93,7 +93,7 @@ fn measure(name: &'static str, g: &Graph) -> Point {
     Point {
         graph: name,
         n,
-        faults: t,
+        faults: guarantee.faults,
         plan_s,
         winner_spec: plan.winner.spec().to_string(),
         winner_theorem: guarantee.theorem.token(),

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use ftr_bench::load::{push_route, Histogram};
 use ftr_core::{BuiltRouting, Planner, PlannerRequest, SchemeRegistry, SchemeSpec};
-use ftr_graph::{connectivity, Graph, Node};
+use ftr_graph::{Graph, Node};
 use ftr_serve::spec::parse_graph_spec;
 use ftr_serve::{Client, ReplyLines, RoutingSnapshot, Server, ServerConfig};
 use ftr_sim::churn::{ChurnConfig, ChurnStream};
@@ -388,8 +388,7 @@ fn main() -> ExitCode {
 /// (the same `SchemeSpec` grammar `ftr-served --scheme` accepts).
 fn build_scheme(graph: &Graph, scheme: &str) -> Result<BuiltRouting, String> {
     if scheme == "auto" {
-        let budget = connectivity::vertex_connectivity(graph).saturating_sub(1);
-        let request = PlannerRequest::tolerate(budget).single_routes();
+        let request = PlannerRequest::full_tolerance().single_routes();
         let plan = Planner::new()
             .plan(graph, &request)
             .map_err(|e| e.to_string())?;

@@ -8,9 +8,9 @@
 //! the price of at most `t(t+1)/2` new links. The paper asks (open
 //! problem 2) whether `O(t)` added links suffice.
 
-use ftr_graph::{connectivity, Graph, Node};
+use ftr_graph::{connectivity::Connectivity, Graph, Node};
 
-use crate::kernel::KernelRouting;
+use crate::kernel::{require_connected, KernelRouting};
 use crate::{Guarantee, Routing, RoutingError, TheoremId};
 
 /// A kernel routing over a clique-augmented network.
@@ -51,14 +51,16 @@ impl AugmentedKernelRouting {
     ///   separator exists — and nothing to improve: the graph already
     ///   routes every pair directly).
     pub fn build(g: &Graph) -> Result<Self, RoutingError> {
-        let kappa = connectivity::vertex_connectivity(g);
-        if kappa == 0 {
-            return Err(RoutingError::InsufficientConnectivity {
-                needed: 1,
-                found: 0,
-            });
-        }
-        let sep = connectivity::min_separator(g)
+        Self::build_at(g, &Connectivity::of(g))
+    }
+
+    /// [`AugmentedKernelRouting::build`] given `g`'s connectivity.
+    pub(crate) fn build_at(g: &Graph, conn: &Connectivity) -> Result<Self, RoutingError> {
+        let kappa = conn.kappa;
+        require_connected(kappa)?;
+        let sep = conn
+            .separator
+            .as_ref()
             .ok_or_else(|| RoutingError::property("complete graphs need no augmentation"))?;
         let members: Vec<Node> = sep.iter().collect();
         let mut augmented = g.clone();
@@ -70,7 +72,7 @@ impl AugmentedKernelRouting {
                 }
             }
         }
-        let kernel = KernelRouting::build_with_separator(&augmented, &sep, kappa)?;
+        let kernel = KernelRouting::build_with_separator(&augmented, sep, kappa)?;
         Ok(AugmentedKernelRouting {
             augmented,
             kernel,

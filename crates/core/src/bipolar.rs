@@ -19,9 +19,8 @@
 
 use ftr_graph::{analysis, connectivity, Graph, Node, NodeSet, Path};
 
-use crate::kernel::insert_edge_routes;
-use crate::par;
-use crate::tree::tree_routing;
+use crate::kernel::{insert_edge_routes, require_connected};
+use crate::tree::{map_with_network, tree_routing_on};
 use crate::{Guarantee, Routing, RoutingError, RoutingKind, TheoremId};
 
 /// A bipolar routing with its roots and polar sets.
@@ -80,13 +79,18 @@ impl BipolarRouting {
         r2: Node,
         kind: RoutingKind,
     ) -> Result<Self, RoutingError> {
-        let kappa = connectivity::vertex_connectivity(g);
-        if kappa == 0 {
-            return Err(RoutingError::InsufficientConnectivity {
-                needed: 1,
-                found: 0,
-            });
-        }
+        Self::build_at(g, connectivity::vertex_connectivity(g), r1, r2, kind)
+    }
+
+    /// [`BipolarRouting::build_with_roots`] given `kappa = κ(g)`.
+    pub(crate) fn build_at(
+        g: &Graph,
+        kappa: usize,
+        r1: Node,
+        r2: Node,
+        kind: RoutingKind,
+    ) -> Result<Self, RoutingError> {
+        require_connected(kappa)?;
         if !analysis::is_two_trees_pair(g, r1, r2) {
             return Err(RoutingError::property(format!(
                 "nodes {r1} and {r2} are not two-trees roots"
@@ -175,14 +179,14 @@ fn construct_unidirectional(
     // B-POL 1 and B-POL 2: tree routings toward the poles, derived per
     // source in parallel; insertion stays sequential in source order.
     let nodes: Vec<Node> = g.nodes().collect();
-    let batches = par::ordered_map(nodes.len(), par::default_threads(), |idx| {
+    let batches = map_with_network(g, nodes.len(), |net, idx| {
         let x = nodes[idx];
         let mut paths = Vec::new();
         if !m1.contains(x) {
-            paths.extend(tree_routing(g, x, &m1, kappa)?);
+            paths.extend(tree_routing_on(net, x, &m1, kappa)?);
         }
         if !m2.contains(x) {
-            paths.extend(tree_routing(g, x, &m2, kappa)?);
+            paths.extend(tree_routing_on(net, x, &m2, kappa)?);
         }
         Ok::<_, RoutingError>(paths)
     });
@@ -222,7 +226,7 @@ fn insert_pole_tree_routings(
 ) -> Result<(), RoutingError> {
     let kind = routing.kind();
     let list: Vec<Node> = members.iter().collect();
-    let batches = par::ordered_map(list.len(), par::default_threads(), |idx| {
+    let batches = map_with_network(g, list.len(), |net, idx| {
         let mi = list[idx];
         let mut paths = Vec::new();
         for &mj in &list {
@@ -231,7 +235,7 @@ fn insert_pole_tree_routings(
                 kind == RoutingKind::Bidirectional || mi == mj || !targets.contains(mi),
                 "pole sets are independent"
             );
-            paths.extend(tree_routing(g, mi, &targets, kappa)?);
+            paths.extend(tree_routing_on(net, mi, &targets, kappa)?);
         }
         Ok::<_, RoutingError>(paths)
     });
@@ -279,10 +283,10 @@ fn construct_bidirectional(
     let pol2 = |x: Node| !m2.contains(x) && !gamma2.contains(x);
     let components: [(&NodeSet, &(dyn Fn(Node) -> bool + Sync)); 2] = [(&m1, &pol1), (&m2, &pol2)];
     for (targets, include) in components {
-        let batches = par::ordered_map(nodes.len(), par::default_threads(), |idx| {
+        let batches = map_with_network(g, nodes.len(), |net, idx| {
             let x = nodes[idx];
             if include(x) {
-                tree_routing(g, x, targets, kappa)
+                tree_routing_on(net, x, targets, kappa)
             } else {
                 Ok(Vec::new())
             }

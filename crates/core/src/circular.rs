@@ -21,9 +21,8 @@
 use ftr_graph::{connectivity, Graph, Node};
 
 use crate::concentrator::NeighborhoodConcentrator;
-use crate::kernel::insert_edge_routes;
-use crate::par;
-use crate::tree::tree_routing;
+use crate::kernel::{insert_edge_routes, require_connected};
+use crate::tree::{map_with_network, tree_routing_on};
 use crate::{Guarantee, Routing, RoutingError, RoutingKind, TheoremId};
 
 /// A circular routing with its concentrator.
@@ -63,15 +62,10 @@ impl CircularRouting {
     ///   the required size is found.
     pub fn build(g: &Graph) -> Result<Self, RoutingError> {
         let kappa = connectivity::vertex_connectivity(g);
-        if kappa == 0 {
-            return Err(RoutingError::InsufficientConnectivity {
-                needed: 1,
-                found: 0,
-            });
-        }
+        require_connected(kappa)?;
         let t = kappa - 1;
         let k = if t.is_multiple_of(2) { t + 1 } else { t + 2 };
-        Self::build_with_size(g, k)
+        Self::build_at(g, kappa, k)
     }
 
     /// Builds a circular routing over a concentrator of exactly `k`
@@ -83,13 +77,12 @@ impl CircularRouting {
     /// As [`CircularRouting::build`], plus
     /// [`RoutingError::PropertyNotSatisfied`] for `k == 0`.
     pub fn build_with_size(g: &Graph, k: usize) -> Result<Self, RoutingError> {
-        let kappa = connectivity::vertex_connectivity(g);
-        if kappa == 0 {
-            return Err(RoutingError::InsufficientConnectivity {
-                needed: 1,
-                found: 0,
-            });
-        }
+        Self::build_at(g, connectivity::vertex_connectivity(g), k)
+    }
+
+    /// [`CircularRouting::build_with_size`] given `kappa = κ(g)`.
+    pub(crate) fn build_at(g: &Graph, kappa: usize, k: usize) -> Result<Self, RoutingError> {
+        require_connected(kappa)?;
         if k == 0 {
             return Err(RoutingError::property("concentrator size must be positive"));
         }
@@ -151,21 +144,21 @@ fn construct(
     // CIRC 1 and CIRC 2: every source's tree routings are derived in
     // parallel; insertion is sequential in source order.
     let nodes: Vec<Node> = g.nodes().collect();
-    let batches = par::ordered_map(nodes.len(), par::default_threads(), |idx| {
+    let batches = map_with_network(g, nodes.len(), |net, idx| {
         let x = nodes[idx];
         let mut paths = Vec::new();
         match conc.circle_of(x) {
             // CIRC 1: x outside Γ routes into every Γ_i.
             None => {
                 for i in 0..k {
-                    paths.extend(tree_routing(g, x, conc.gamma(i), kappa)?);
+                    paths.extend(tree_routing_on(net, x, conc.gamma(i), kappa)?);
                 }
             }
             // CIRC 2: x ∈ Γ_i routes into the forward half of the circle.
             Some(i) => {
                 for j in 1..half {
                     let target = (i + j) % k;
-                    paths.extend(tree_routing(g, x, conc.gamma(target), kappa)?);
+                    paths.extend(tree_routing_on(net, x, conc.gamma(target), kappa)?);
                 }
             }
         }

@@ -11,10 +11,10 @@
 //! `(4, ⌊t/2⌋)`-tolerant — a *constant* bound when only half the
 //! connectivity worth of faults occur.
 
-use ftr_graph::{connectivity, Graph, Node, NodeSet, Path};
+use ftr_graph::connectivity::{self, Connectivity};
+use ftr_graph::{Graph, Node, NodeSet, Path};
 
-use crate::par;
-use crate::tree::tree_routing;
+use crate::tree::{map_with_network, tree_routing_on};
 use crate::{Guarantee, Routing, RoutingError, RoutingKind, TheoremId};
 
 /// The kernel routing of a graph, with its separator and parameters.
@@ -55,28 +55,27 @@ impl KernelRouting {
     ///   disconnected.
     /// * Propagates construction failures from the tree routings.
     pub fn build(g: &Graph) -> Result<Self, RoutingError> {
-        let kappa = connectivity::vertex_connectivity(g);
-        if kappa == 0 {
-            return Err(RoutingError::InsufficientConnectivity {
-                needed: 1,
-                found: 0,
-            });
-        }
-        let separator = match connectivity::min_separator(g) {
-            Some(sep) => sep,
+        Self::build_at(g, &Connectivity::of(g))
+    }
+
+    /// [`KernelRouting::build`] given `g`'s connectivity (the scheme API
+    /// computes it once for applicability and build together).
+    pub(crate) fn build_at(g: &Graph, conn: &Connectivity) -> Result<Self, RoutingError> {
+        require_connected(conn.kappa)?;
+        match &conn.separator {
+            Some(separator) => Self::build_with_separator(g, separator, conn.kappa),
             None => {
                 // Complete graph: direct edges route every pair.
                 let mut routing = Routing::new(g.node_count(), RoutingKind::Bidirectional);
                 insert_edge_routes(&mut routing, g)?;
                 routing.freeze();
-                return Ok(KernelRouting {
+                Ok(KernelRouting {
                     routing,
                     separator: Vec::new(),
-                    t: kappa - 1,
-                });
+                    t: conn.kappa - 1,
+                })
             }
-        };
-        Self::build_with_separator(g, &separator, kappa)
+        }
     }
 
     /// Builds the kernel routing with a caller-supplied separating set
@@ -113,8 +112,8 @@ impl KernelRouting {
         // sequential and in source order, so conflicts and the final
         // table are identical to the serial build).
         let outside: Vec<Node> = g.nodes().filter(|&x| !separator.contains(x)).collect();
-        let batches = par::ordered_map(outside.len(), par::default_threads(), |i| {
-            tree_routing(g, outside[i], separator, k)
+        let batches = map_with_network(g, outside.len(), |net, i| {
+            tree_routing_on(net, outside[i], separator, k)
         });
         for batch in batches {
             for p in batch? {
@@ -190,6 +189,17 @@ impl KernelRouting {
             self.guarantee(TheoremId::Theorem3, (2 * self.t as u32).max(4), f)
         }
     }
+}
+
+/// Every construction needs a connected graph (`t + 1 = κ(G) >= 1`).
+pub(crate) fn require_connected(kappa: usize) -> Result<(), RoutingError> {
+    if kappa == 0 {
+        return Err(RoutingError::InsufficientConnectivity {
+            needed: 1,
+            found: 0,
+        });
+    }
+    Ok(())
 }
 
 /// Inserts a bidirectional direct edge route for every edge of `g`.

@@ -74,9 +74,11 @@
 //! `ftr-serve`'s bulk-arena snapshot format byte-stable. Measured at
 //! scale (bench `e17_scale`, `BENCH_scale.json`, single-threaded):
 //! the kernel routing of `H(4, 4096)` — 49 100 routes — constructs in
-//! 1.8 s, freezes at ~130k routes/s, compiles in 1.1 s, and every
-//! sampled 3-fault set keeps the surviving diameter within Theorem 3's
-//! bound; the previous experiment ceiling was n = 24.
+//! 2.5 s through `build_spec` (one connectivity pass plus one tree
+//! routing per source, all max flow on one reusable split network),
+//! freezes at ~890k routes/s, compiles in 0.36 s, and every sampled
+//! 3-fault set keeps the surviving diameter within Theorem 3's bound;
+//! the previous experiment ceiling was n = 24.
 //!
 //! # The verification engine
 //!
@@ -166,7 +168,7 @@ pub use multi::{
 pub use planner::{Candidate, CandidateOutcome, Plan, PlanError, Planner, PlannerRequest};
 pub use routing::{RouteView, Routing, RoutingKind, RoutingStats};
 pub use scheme::{
-    AugmentScheme, BipolarScheme, BuiltRouting, BuiltTable, CircularScheme, Guarantee,
+    AugmentScheme, BipolarScheme, BuiltRouting, BuiltTable, CircularScheme, GraphFacts, Guarantee,
     HypercubeScheme, KernelScheme, MultiMode, MultiScheme, Scheme, SchemeParams, SchemeRegistry,
     SchemeSpec, TheoremId, TriCircularScheme, SCHEME_NAMES,
 };

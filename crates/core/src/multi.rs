@@ -16,11 +16,13 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use ftr_graph::{connectivity, flow, Graph, GraphError, Node, NodeSet, Path};
+use ftr_graph::connectivity::{self, Connectivity};
+use ftr_graph::flow::SplitNetwork;
+use ftr_graph::{Graph, GraphError, Node, NodeSet, Path};
 
-use crate::par;
+use crate::kernel::require_connected;
 use crate::routing::RoutingKind;
-use crate::tree::tree_routing;
+use crate::tree::{map_with_network, tree_routing_on};
 use crate::{RouteView, RoutingError};
 
 /// A routing table allowing several parallel routes per ordered pair.
@@ -253,22 +255,21 @@ impl fmt::Debug for MultiRouting {
 /// Returns [`RoutingError::InsufficientConnectivity`] if the graph is
 /// not connected (`t + 1 = κ(G) >= 1` is required).
 pub fn full_multirouting(g: &Graph) -> Result<MultiRouting, RoutingError> {
-    let kappa = connectivity::vertex_connectivity(g);
-    if kappa == 0 {
-        return Err(RoutingError::InsufficientConnectivity {
-            needed: 1,
-            found: 0,
-        });
-    }
+    full_multirouting_at(g, connectivity::vertex_connectivity(g))
+}
+
+/// [`full_multirouting`] given `kappa = κ(g)`.
+pub(crate) fn full_multirouting_at(g: &Graph, kappa: usize) -> Result<MultiRouting, RoutingError> {
+    require_connected(kappa)?;
     let mut m = MultiRouting::new(g.node_count(), RoutingKind::Bidirectional, kappa);
     // One parallel work item per source u: the disjoint-path bundles to
     // every v > u (each an independent max flow).
     let n = g.node_count();
-    let batches = par::ordered_map(n, par::default_threads(), |u| {
+    let batches = map_with_network(g, n, |net, u| {
         let u = u as Node;
         let mut paths = Vec::new();
         for v in g.nodes().filter(|&v| v > u) {
-            paths.extend(flow::vertex_disjoint_st_paths(g, u, v, Some(kappa))?);
+            paths.extend(net.vertex_disjoint_st_paths(u, v, Some(kappa))?);
         }
         Ok::<_, RoutingError>(paths)
     });
@@ -291,15 +292,15 @@ pub fn full_multirouting(g: &Graph) -> Result<MultiRouting, RoutingError> {
 /// * [`RoutingError::PropertyNotSatisfied`] for complete graphs (no
 ///   separating set exists; every pair is already adjacent).
 pub fn concentrator_multirouting(g: &Graph) -> Result<(MultiRouting, Vec<Node>), RoutingError> {
-    let kappa = connectivity::vertex_connectivity(g);
-    if kappa == 0 {
-        return Err(RoutingError::InsufficientConnectivity {
-            needed: 1,
-            found: 0,
-        });
-    }
-    let sep = connectivity::min_separator(g)
-        .ok_or_else(|| RoutingError::property("complete graphs have no separating set"))?;
+    concentrator_multirouting_at(g, &Connectivity::of(g))
+}
+
+/// [`concentrator_multirouting`] given `g`'s connectivity.
+pub(crate) fn concentrator_multirouting_at(
+    g: &Graph,
+    conn: &Connectivity,
+) -> Result<(MultiRouting, Vec<Node>), RoutingError> {
+    let (kappa, sep) = connected_with_separator(conn)?;
     let mut m = MultiRouting::new(g.node_count(), RoutingKind::Bidirectional, kappa);
     // KERNEL 2: direct edge routes.
     for (u, v) in g.edges() {
@@ -307,12 +308,13 @@ pub fn concentrator_multirouting(g: &Graph) -> Result<(MultiRouting, Vec<Node>),
     }
     // KERNEL 1: tree routings into the separator, derived per source in
     // parallel.
-    insert_tree_routings_outside(&mut m, g, &sep, kappa)?;
+    insert_tree_routings_outside(&mut m, g, sep, kappa)?;
     // Section 6 (2): full parallel routes inside M.
     let members: Vec<Node> = sep.iter().collect();
+    let mut net = SplitNetwork::new(g);
     for (i, &a) in members.iter().enumerate() {
         for &b in &members[i + 1..] {
-            for p in flow::vertex_disjoint_st_paths(g, a, b, Some(kappa))? {
+            for p in net.vertex_disjoint_st_paths(a, b, Some(kappa))? {
                 m.insert(p)?;
             }
         }
@@ -337,21 +339,15 @@ pub fn concentrator_multirouting(g: &Graph) -> Result<(MultiRouting, Vec<Node>),
 /// * [`RoutingError::InsufficientConnectivity`] for disconnected graphs.
 /// * [`RoutingError::PropertyNotSatisfied`] for complete graphs.
 pub fn single_tree_multirouting(g: &Graph) -> Result<(MultiRouting, Vec<Node>), RoutingError> {
-    let kappa = connectivity::vertex_connectivity(g);
-    if kappa == 0 {
-        return Err(RoutingError::InsufficientConnectivity {
-            needed: 1,
-            found: 0,
-        });
-    }
-    let sep = connectivity::min_separator(g)
-        .ok_or_else(|| RoutingError::property("complete graphs have no separating set"))?;
+    let conn = Connectivity::of(g);
+    let (kappa, sep) = connected_with_separator(&conn)?;
     let mut m = MultiRouting::new(g.node_count(), RoutingKind::Bidirectional, 2);
     for (u, v) in g.edges() {
         m.insert(Path::edge(u, v).expect("graph edges join distinct nodes"))?;
     }
-    insert_tree_routings_outside(&mut m, g, &sep, kappa)?;
+    insert_tree_routings_outside(&mut m, g, sep, kappa)?;
     let members: Vec<Node> = sep.iter().collect();
+    let mut net = SplitNetwork::new(g);
     for &mi in &members {
         for &mj in &members {
             if mi == mj {
@@ -361,12 +357,22 @@ pub fn single_tree_multirouting(g: &Graph) -> Result<(MultiRouting, Vec<Node>), 
             if targets.contains(mi) {
                 continue; // adjacent members already reach each other directly
             }
-            for p in tree_routing(g, mi, &targets, kappa)? {
+            for p in tree_routing_on(&mut net, mi, &targets, kappa)? {
                 m.insert(p)?;
             }
         }
     }
     Ok((m, members))
+}
+
+/// κ and the minimum separator of a connected, non-complete graph.
+fn connected_with_separator(conn: &Connectivity) -> Result<(usize, &NodeSet), RoutingError> {
+    require_connected(conn.kappa)?;
+    let sep = conn
+        .separator
+        .as_ref()
+        .ok_or_else(|| RoutingError::property("complete graphs have no separating set"))?;
+    Ok((conn.kappa, sep))
 }
 
 /// Derives a tree routing into `targets` for every source outside it —
@@ -380,8 +386,8 @@ fn insert_tree_routings_outside(
     kappa: usize,
 ) -> Result<(), RoutingError> {
     let outside: Vec<Node> = g.nodes().filter(|&x| !targets.contains(x)).collect();
-    let batches = par::ordered_map(outside.len(), par::default_threads(), |i| {
-        tree_routing(g, outside[i], targets, kappa)
+    let batches = map_with_network(g, outside.len(), |net, i| {
+        tree_routing_on(net, outside[i], targets, kappa)
     });
     for batch in batches {
         for p in batch? {

@@ -60,10 +60,24 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    ordered_map_with(items, threads, || (), |(), i| f(i))
+}
+
+/// [`ordered_map`] with per-worker scratch state: every worker calls
+/// `init` once and hands the value to each `f` it runs (the
+/// constructions keep one reusable flow network per worker this way).
+/// Results must not depend on which items shared a worker.
+pub fn ordered_map_with<S, T, I, F>(items: usize, threads: usize, init: I, f: F) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
     let parts = map_workers(items, threads, |next| {
+        let mut state = init();
         let mut out = Vec::new();
         while let Some(i) = next() {
-            out.push((i, f(i)));
+            out.push((i, f(&mut state, i)));
         }
         out
     });

@@ -16,14 +16,15 @@ use ftr_graph::Graph;
 
 use crate::error::{Inapplicable, InapplicableReason};
 use crate::par;
-use crate::scheme::{BuiltRouting, Guarantee, SchemeParams, SchemeRegistry};
+use crate::scheme::{BuiltRouting, GraphFacts, Guarantee, SchemeParams, SchemeRegistry};
 use crate::RoutingError;
 
 /// What the caller needs from a routing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannerRequest {
-    /// Fault budget the guarantee must cover.
-    pub faults: usize,
+    /// Fault budget the guarantee must cover; `None` asks every scheme
+    /// for its full tolerance `t = κ(G) − 1`.
+    pub faults: Option<usize>,
     /// Optional surviving-diameter target; candidates guaranteeing more
     /// are rejected (recorded as [`CandidateOutcome::OverDiameterTarget`]).
     pub diameter: Option<u32>,
@@ -40,7 +41,17 @@ impl PlannerRequest {
     /// restrictions.
     pub fn tolerate(faults: usize) -> Self {
         PlannerRequest {
-            faults,
+            faults: Some(faults),
+            ..PlannerRequest::full_tolerance()
+        }
+    }
+
+    /// A request for the full tolerance `t = κ(G) − 1` of the graph it
+    /// is planned on — the planner's own connectivity pass supplies `t`,
+    /// so callers need not run one to ask.
+    pub fn full_tolerance() -> Self {
+        PlannerRequest {
+            faults: None,
             diameter: None,
             single_routes_only: false,
             max_routes: None,
@@ -190,13 +201,14 @@ impl Planner {
         g: &Graph,
         request: &PlannerRequest,
     ) -> Vec<(&'static str, Result<Guarantee, Inapplicable>)> {
+        let facts = GraphFacts::new(g);
         let params = SchemeParams {
-            faults: Some(request.faults),
+            faults: request.faults,
             ..SchemeParams::default()
         };
         self.registry
             .iter()
-            .map(|s| (s.name(), self.check(s, g, &params, request)))
+            .map(|s| (s.name(), self.check(s, &facts, &params, request)))
             .collect()
     }
 
@@ -204,7 +216,7 @@ impl Planner {
     fn check(
         &self,
         scheme: &dyn crate::Scheme,
-        g: &Graph,
+        facts: &GraphFacts<'_>,
         params: &SchemeParams,
         request: &PlannerRequest,
     ) -> Result<Guarantee, Inapplicable> {
@@ -214,7 +226,7 @@ impl Planner {
                 "request requires a single-route table",
             ));
         }
-        let guarantee = scheme.applicability(g, params)?;
+        let guarantee = scheme.applicability(facts, params)?;
         if let Some(cap) = request.max_routes {
             if guarantee.routes > cap {
                 return Err(Inapplicable {
@@ -238,8 +250,11 @@ impl Planner {
     /// [`PlanError`] (carrying every scheme's outcome) when nothing
     /// applicable could be built.
     pub fn plan(&self, g: &Graph, request: &PlannerRequest) -> Result<Plan, PlanError> {
+        // One connectivity pass serves every applicability check and
+        // every candidate build below.
+        let facts = GraphFacts::new(g);
         let params = SchemeParams {
-            faults: Some(request.faults),
+            faults: request.faults,
             ..SchemeParams::default()
         };
 
@@ -252,7 +267,7 @@ impl Planner {
         let mut slots = Vec::with_capacity(schemes.len());
         let mut eligible = Vec::new();
         for (i, scheme) in schemes.iter().enumerate() {
-            match self.check(*scheme, g, &params, request) {
+            match self.check(*scheme, &facts, &params, request) {
                 Err(inap) => slots.push(Slot::Ruled(CandidateOutcome::Inapplicable(inap))),
                 Ok(offered) => {
                     if let Some(target) = request.diameter {
@@ -275,7 +290,7 @@ impl Planner {
         // oversubscription stays mild).
         let mut builds: Vec<Option<Result<BuiltRouting, RoutingError>>> =
             par::ordered_map(eligible.len(), self.threads, |j| {
-                Some(schemes[eligible[j]].build(g, &params))
+                Some(schemes[eligible[j]].build(&facts, &params))
             });
 
         // Rank: smallest guaranteed diameter, then exact route count,

@@ -12,7 +12,8 @@
 //!   construction run on this graph, and what would it promise?")
 //!   without building anything, and [`Scheme::build`] produces a
 //!   [`BuiltRouting`] bundling the table with its guarantee and
-//!   metadata;
+//!   metadata; both take the graph as [`GraphFacts`], so its
+//!   connectivity is swept once however many schemes are asked;
 //! * the [`SchemeRegistry`] holds every construction of the paper;
 //! * a [`SchemeSpec`] is the parseable textual name of a scheme plus
 //!   parameters (`kernel`, `circular:k=6`, `bipolar:bi`, …), shared by
@@ -24,16 +25,18 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::OnceLock;
 
-use ftr_graph::{analysis, connectivity, Graph, Node, NodeSet};
+use ftr_graph::connectivity::{self, Connectivity};
+use ftr_graph::{analysis, Graph, Node, NodeSet};
 
 use crate::concentrator::NeighborhoodConcentrator;
 use crate::error::{Inapplicable, InapplicableReason};
+use crate::multi::{concentrator_multirouting_at, full_multirouting_at};
 use crate::{
-    concentrator_multirouting, full_multirouting, verify_tolerance, AugmentedKernelRouting,
-    BipolarRouting, CircularRouting, Compile, FaultStrategy, HypercubeRouting, KernelRouting,
-    MultiRouting, Routing, RoutingError, RoutingKind, ToleranceClaim, ToleranceReport,
-    TriCircularRouting, TriCircularVariant,
+    verify_tolerance, AugmentedKernelRouting, BipolarRouting, CircularRouting, Compile,
+    FaultStrategy, HypercubeRouting, KernelRouting, MultiRouting, Routing, RoutingError,
+    RoutingKind, ToleranceClaim, ToleranceReport, TriCircularRouting, TriCircularVariant,
 };
 
 // ------------------------------------------------------------- guarantees
@@ -554,6 +557,40 @@ impl BuiltRouting {
 
 // ------------------------------------------------------------ the schemes
 
+/// A graph together with what the schemes need to know about it: its
+/// node connectivity κ and a minimum separating set, found by one
+/// [`Connectivity::of`] pass the first time any scheme asks and then
+/// shared. Hand the same value to every [`Scheme::applicability`] and
+/// [`Scheme::build`] call about one graph — the registry's `build_spec`
+/// and the planner do — and the `n`-flow sweep is paid once (and not at
+/// all by the hypercube scheme, which reads κ off the topology).
+#[derive(Debug)]
+pub struct GraphFacts<'g> {
+    graph: &'g Graph,
+    connectivity: OnceLock<Connectivity>,
+}
+
+impl<'g> GraphFacts<'g> {
+    /// Wraps `graph`; nothing is computed yet.
+    pub fn new(graph: &'g Graph) -> Self {
+        GraphFacts {
+            graph,
+            connectivity: OnceLock::new(),
+        }
+    }
+
+    /// The graph.
+    pub fn graph(&self) -> &'g Graph {
+        self.graph
+    }
+
+    /// κ(G) and a minimum separating set.
+    pub fn connectivity(&self) -> &Connectivity {
+        self.connectivity
+            .get_or_init(|| Connectivity::of(self.graph))
+    }
+}
+
 /// One construction of the paper behind the uniform interface:
 /// applicability (with the guarantee it would provide) and building.
 ///
@@ -571,15 +608,19 @@ pub trait Scheme: Send + Sync {
         true
     }
 
-    /// Can this construction run on `g` with `params`, and what bound
-    /// would it promise? Costs in the returned [`Guarantee`] are
+    /// Can this construction run on the graph with `params`, and what
+    /// bound would it promise? Costs in the returned [`Guarantee`] are
     /// estimates.
     ///
     /// # Errors
     ///
     /// [`Inapplicable`] with this scheme's name and the structural
     /// reason.
-    fn applicability(&self, g: &Graph, params: &SchemeParams) -> Result<Guarantee, Inapplicable>;
+    fn applicability(
+        &self,
+        facts: &GraphFacts<'_>,
+        params: &SchemeParams,
+    ) -> Result<Guarantee, Inapplicable>;
 
     /// Builds the routing, bundling table + guarantee + metadata.
     ///
@@ -587,17 +628,21 @@ pub trait Scheme: Send + Sync {
     ///
     /// [`RoutingError::Inapplicable`] when the precondition fails, or
     /// the underlying construction failure.
-    fn build(&self, g: &Graph, params: &SchemeParams) -> Result<BuiltRouting, RoutingError>;
+    fn build(
+        &self,
+        facts: &GraphFacts<'_>,
+        params: &SchemeParams,
+    ) -> Result<BuiltRouting, RoutingError>;
 }
 
 /// Connectivity, tolerance and effective fault budget, shared by every
 /// scheme's applicability check.
 fn connectivity_budget(
     scheme: &'static str,
-    g: &Graph,
+    facts: &GraphFacts<'_>,
     params: &SchemeParams,
 ) -> Result<(usize, usize, usize), Inapplicable> {
-    let kappa = connectivity::vertex_connectivity(g);
+    let kappa = facts.connectivity().kappa;
     if kappa == 0 {
         return Err(Inapplicable {
             scheme,
@@ -659,8 +704,13 @@ impl Scheme for KernelScheme {
         "kernel"
     }
 
-    fn applicability(&self, g: &Graph, params: &SchemeParams) -> Result<Guarantee, Inapplicable> {
-        let (kappa, t, budget) = connectivity_budget("kernel", g, params)?;
+    fn applicability(
+        &self,
+        facts: &GraphFacts<'_>,
+        params: &SchemeParams,
+    ) -> Result<Guarantee, Inapplicable> {
+        let g = facts.graph();
+        let (kappa, t, budget) = connectivity_budget("kernel", facts, params)?;
         if let Some(sep) = &params.separator {
             if sep.len() < kappa {
                 return Err(Inapplicable {
@@ -681,13 +731,17 @@ impl Scheme for KernelScheme {
         Ok(Self::guarantee_at(g, t, budget))
     }
 
-    fn build(&self, g: &Graph, params: &SchemeParams) -> Result<BuiltRouting, RoutingError> {
-        let guarantee = self.applicability(g, params)?;
+    fn build(
+        &self,
+        facts: &GraphFacts<'_>,
+        params: &SchemeParams,
+    ) -> Result<BuiltRouting, RoutingError> {
+        let guarantee = self.applicability(facts, params)?;
+        let g = facts.graph();
+        let conn = facts.connectivity();
         let kernel = match &params.separator {
-            Some(sep) => {
-                KernelRouting::build_with_separator(g, sep, connectivity::vertex_connectivity(g))?
-            }
-            None => KernelRouting::build(g)?,
+            Some(sep) => KernelRouting::build_with_separator(g, sep, conn.kappa)?,
+            None => KernelRouting::build_at(g, conn)?,
         };
         let core = kernel.separator().to_vec();
         Ok(BuiltRouting::new(
@@ -717,8 +771,13 @@ impl Scheme for CircularScheme {
         "circular"
     }
 
-    fn applicability(&self, g: &Graph, params: &SchemeParams) -> Result<Guarantee, Inapplicable> {
-        let (kappa, t, budget) = connectivity_budget("circular", g, params)?;
+    fn applicability(
+        &self,
+        facts: &GraphFacts<'_>,
+        params: &SchemeParams,
+    ) -> Result<Guarantee, Inapplicable> {
+        let g = facts.graph();
+        let (kappa, t, budget) = connectivity_budget("circular", facts, params)?;
         let k = Self::required_size(t, params);
         // Theorem 10 needs at least `f + 1` concentrator members to
         // cover a budget of `f` faults; undersized overrides are the A1
@@ -741,13 +800,15 @@ impl Scheme for CircularScheme {
         Ok(Guarantee::new("circular", TheoremId::Theorem10, 6, budget).estimate(routes))
     }
 
-    fn build(&self, g: &Graph, params: &SchemeParams) -> Result<BuiltRouting, RoutingError> {
-        let guarantee = self.applicability(g, params)?;
-        let size = match params.concentrator_size {
-            Some(k) => k,
-            None => Self::required_size(connectivity::vertex_connectivity(g) - 1, params),
-        };
-        let circ = CircularRouting::build_with_size(g, size)?;
+    fn build(
+        &self,
+        facts: &GraphFacts<'_>,
+        params: &SchemeParams,
+    ) -> Result<BuiltRouting, RoutingError> {
+        let guarantee = self.applicability(facts, params)?;
+        let g = facts.graph();
+        let kappa = facts.connectivity().kappa;
+        let circ = CircularRouting::build_at(g, kappa, Self::required_size(kappa - 1, params))?;
         let core = circ.concentrator().members().to_vec();
         Ok(BuiltRouting::new(
             spec_of("circular", params),
@@ -788,8 +849,13 @@ impl Scheme for TriCircularScheme {
         "tricircular"
     }
 
-    fn applicability(&self, g: &Graph, params: &SchemeParams) -> Result<Guarantee, Inapplicable> {
-        let (kappa, t, budget) = connectivity_budget("tricircular", g, params)?;
+    fn applicability(
+        &self,
+        facts: &GraphFacts<'_>,
+        params: &SchemeParams,
+    ) -> Result<Guarantee, Inapplicable> {
+        let g = facts.graph();
+        let (kappa, t, budget) = connectivity_budget("tricircular", facts, params)?;
         let variant = Self::variant(params);
         let k = 3 * Self::circle_size(t, variant);
         NeighborhoodConcentrator::select(g, k)
@@ -802,9 +868,15 @@ impl Scheme for TriCircularScheme {
         Ok(Guarantee::new("tricircular", theorem, diameter, budget).estimate(routes))
     }
 
-    fn build(&self, g: &Graph, params: &SchemeParams) -> Result<BuiltRouting, RoutingError> {
-        let guarantee = self.applicability(g, params)?;
-        let tri = TriCircularRouting::build(g, Self::variant(params))?;
+    fn build(
+        &self,
+        facts: &GraphFacts<'_>,
+        params: &SchemeParams,
+    ) -> Result<BuiltRouting, RoutingError> {
+        let guarantee = self.applicability(facts, params)?;
+        let g = facts.graph();
+        let kappa = facts.connectivity().kappa;
+        let tri = TriCircularRouting::build_at(g, kappa, Self::variant(params))?;
         let core = tri.concentrator().members().to_vec();
         Ok(BuiltRouting::new(
             spec_of("tricircular", params),
@@ -831,8 +903,13 @@ impl Scheme for BipolarScheme {
         "bipolar"
     }
 
-    fn applicability(&self, g: &Graph, params: &SchemeParams) -> Result<Guarantee, Inapplicable> {
-        let (kappa, _, budget) = connectivity_budget("bipolar", g, params)?;
+    fn applicability(
+        &self,
+        facts: &GraphFacts<'_>,
+        params: &SchemeParams,
+    ) -> Result<Guarantee, Inapplicable> {
+        let g = facts.graph();
+        let (kappa, _, budget) = connectivity_budget("bipolar", facts, params)?;
         match params.roots {
             Some((r1, r2)) => {
                 if !analysis::is_two_trees_pair(g, r1, r2) {
@@ -860,14 +937,19 @@ impl Scheme for BipolarScheme {
         Ok(Guarantee::new("bipolar", theorem, diameter, budget).estimate(routes))
     }
 
-    fn build(&self, g: &Graph, params: &SchemeParams) -> Result<BuiltRouting, RoutingError> {
-        let guarantee = self.applicability(g, params)?;
-        let kind = Self::kind(params);
-        let bipolar = match params.roots {
-            Some((r1, r2)) => BipolarRouting::build_with_roots(g, r1, r2, kind)?,
-            None => BipolarRouting::build(g, kind)?,
-        };
-        let (r1, r2) = bipolar.roots();
+    fn build(
+        &self,
+        facts: &GraphFacts<'_>,
+        params: &SchemeParams,
+    ) -> Result<BuiltRouting, RoutingError> {
+        let guarantee = self.applicability(facts, params)?;
+        let g = facts.graph();
+        let (r1, r2) = params
+            .roots
+            .or_else(|| analysis::find_two_trees_roots(g))
+            .expect("applicability found two-trees roots");
+        let kappa = facts.connectivity().kappa;
+        let bipolar = BipolarRouting::build_at(g, kappa, r1, r2, Self::kind(params))?;
         let mut core = vec![r1, r2];
         core.extend_from_slice(bipolar.m1());
         core.extend_from_slice(bipolar.m2());
@@ -916,7 +998,12 @@ impl Scheme for HypercubeScheme {
         "hypercube"
     }
 
-    fn applicability(&self, g: &Graph, params: &SchemeParams) -> Result<Guarantee, Inapplicable> {
+    fn applicability(
+        &self,
+        facts: &GraphFacts<'_>,
+        params: &SchemeParams,
+    ) -> Result<Guarantee, Inapplicable> {
+        let g = facts.graph();
         let Some(d) = hypercube_dim(g) else {
             return Err(Inapplicable::property(
                 "hypercube",
@@ -942,8 +1029,13 @@ impl Scheme for HypercubeScheme {
         )
     }
 
-    fn build(&self, g: &Graph, params: &SchemeParams) -> Result<BuiltRouting, RoutingError> {
-        let guarantee = self.applicability(g, params)?;
+    fn build(
+        &self,
+        facts: &GraphFacts<'_>,
+        params: &SchemeParams,
+    ) -> Result<BuiltRouting, RoutingError> {
+        let guarantee = self.applicability(facts, params)?;
+        let g = facts.graph();
         let d = hypercube_dim(g).expect("applicability checked the topology");
         let kind = params.kind.unwrap_or(RoutingKind::Bidirectional);
         let hc = HypercubeRouting::build(d, kind)?;
@@ -980,8 +1072,13 @@ impl Scheme for MultiScheme {
         false
     }
 
-    fn applicability(&self, g: &Graph, params: &SchemeParams) -> Result<Guarantee, Inapplicable> {
-        let (kappa, _, budget) = connectivity_budget("multi", g, params)?;
+    fn applicability(
+        &self,
+        facts: &GraphFacts<'_>,
+        params: &SchemeParams,
+    ) -> Result<Guarantee, Inapplicable> {
+        let g = facts.graph();
+        let (kappa, _, budget) = connectivity_budget("multi", facts, params)?;
         let n = g.node_count();
         match Self::mode(params) {
             MultiMode::Full => {
@@ -1004,11 +1101,19 @@ impl Scheme for MultiScheme {
         }
     }
 
-    fn build(&self, g: &Graph, params: &SchemeParams) -> Result<BuiltRouting, RoutingError> {
-        let guarantee = self.applicability(g, params)?;
+    fn build(
+        &self,
+        facts: &GraphFacts<'_>,
+        params: &SchemeParams,
+    ) -> Result<BuiltRouting, RoutingError> {
+        let guarantee = self.applicability(facts, params)?;
+        let g = facts.graph();
         let (multi, core) = match Self::mode(params) {
-            MultiMode::Full => (full_multirouting(g)?, Vec::new()),
-            MultiMode::Concentrator => concentrator_multirouting(g)?,
+            MultiMode::Full => (
+                full_multirouting_at(g, facts.connectivity().kappa)?,
+                Vec::new(),
+            ),
+            MultiMode::Concentrator => concentrator_multirouting_at(g, facts.connectivity())?,
         };
         Ok(BuiltRouting::new(
             spec_of("multi", params),
@@ -1031,8 +1136,13 @@ impl Scheme for AugmentScheme {
         "augment"
     }
 
-    fn applicability(&self, g: &Graph, params: &SchemeParams) -> Result<Guarantee, Inapplicable> {
-        let (kappa, t, budget) = connectivity_budget("augment", g, params)?;
+    fn applicability(
+        &self,
+        facts: &GraphFacts<'_>,
+        params: &SchemeParams,
+    ) -> Result<Guarantee, Inapplicable> {
+        let g = facts.graph();
+        let (kappa, t, budget) = connectivity_budget("augment", facts, params)?;
         if g.is_complete() {
             return Err(Inapplicable::property(
                 "augment",
@@ -1044,9 +1154,14 @@ impl Scheme for AugmentScheme {
         Ok(Guarantee::new("augment", TheoremId::Section6Augment, 3, budget).estimate(routes))
     }
 
-    fn build(&self, g: &Graph, params: &SchemeParams) -> Result<BuiltRouting, RoutingError> {
-        let guarantee = self.applicability(g, params)?;
-        let aug = AugmentedKernelRouting::build(g)?;
+    fn build(
+        &self,
+        facts: &GraphFacts<'_>,
+        params: &SchemeParams,
+    ) -> Result<BuiltRouting, RoutingError> {
+        let guarantee = self.applicability(facts, params)?;
+        let g = facts.graph();
+        let aug = AugmentedKernelRouting::build_at(g, facts.connectivity())?;
         let core = aug.separator().to_vec();
         let (augmented, routing) = aug.into_parts();
         Ok(BuiltRouting::new(
@@ -1118,7 +1233,7 @@ impl SchemeRegistry {
                 format!("unknown scheme {:?}", spec.name),
             ))
         })?;
-        scheme.build(g, &spec.params)
+        scheme.build(&GraphFacts::new(g), &spec.params)
     }
 }
 
@@ -1195,12 +1310,14 @@ mod tests {
         let g = gen::torus(3, 4).unwrap(); // κ = 4, t = 3
         let reg = SchemeRegistry::standard();
         let kernel = reg.get("kernel").unwrap();
-        let full = kernel.applicability(&g, &SchemeParams::default()).unwrap();
+        let full = kernel
+            .applicability(&GraphFacts::new(&g), &SchemeParams::default())
+            .unwrap();
         assert_eq!(full.theorem, TheoremId::Theorem3);
         assert_eq!((full.diameter, full.faults), (6, 3));
         let half = kernel
             .applicability(
-                &g,
+                &GraphFacts::new(&g),
                 &SchemeParams {
                     faults: Some(1),
                     ..SchemeParams::default()
@@ -1210,7 +1327,7 @@ mod tests {
         assert_eq!(half.theorem, TheoremId::Theorem4);
         assert_eq!((half.diameter, half.faults), (4, 1));
         let over = kernel.applicability(
-            &g,
+            &GraphFacts::new(&g),
             &SchemeParams {
                 faults: Some(9),
                 ..SchemeParams::default()
@@ -1266,7 +1383,7 @@ mod tests {
         for k in [0, 1, 2] {
             let err = circular
                 .applicability(
-                    &g,
+                    &GraphFacts::new(&g),
                     &SchemeParams {
                         concentrator_size: Some(k),
                         ..SchemeParams::default()
@@ -1299,7 +1416,7 @@ mod tests {
         let err = reg
             .get("bipolar")
             .unwrap()
-            .applicability(&g, &SchemeParams::default())
+            .applicability(&GraphFacts::new(&g), &SchemeParams::default())
             .unwrap_err();
         assert_eq!(err.scheme, "bipolar");
         assert!(err.to_string().contains("two-trees"), "{err}");

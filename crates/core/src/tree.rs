@@ -12,9 +12,9 @@
 //! least one of the `k` routes survives, so `x` keeps a distance-1 link
 //! into `M` in the surviving graph.
 
-use ftr_graph::{flow, Graph, Node, NodeSet, Path};
+use ftr_graph::{flow::SplitNetwork, Graph, Node, NodeSet, Path};
 
-use crate::RoutingError;
+use crate::{par, RoutingError};
 
 /// Builds a tree routing from `x` into `targets` with exactly `k` paths.
 ///
@@ -52,19 +52,47 @@ pub fn tree_routing(
     targets: &NodeSet,
     k: usize,
 ) -> Result<Vec<Path>, RoutingError> {
-    let mut paths = flow::vertex_disjoint_paths_to_set(g, x, targets, Some(k))?;
+    tree_routing_on(&mut SplitNetwork::new(g), x, targets, k)
+}
+
+/// [`tree_routing`] on a caller-kept network of the graph, for the
+/// constructions that derive one tree routing after another (the result
+/// does not depend on what the network answered before).
+///
+/// # Errors
+///
+/// As [`tree_routing`].
+pub fn tree_routing_on(
+    net: &mut SplitNetwork<'_>,
+    x: Node,
+    targets: &NodeSet,
+    k: usize,
+) -> Result<Vec<Path>, RoutingError> {
+    let mut paths = net.vertex_disjoint_paths_to_set(x, targets, Some(k))?;
     if paths.len() < k {
         return Err(RoutingError::InsufficientConnectivity {
             needed: k,
             found: paths.len(),
         });
     }
+    let g = net.graph();
     for p in &mut paths {
         if p.len() > 1 && g.has_edge(x, p.target()) {
             *p = Path::edge(x, p.target()).expect("x differs from its neighbor");
         }
     }
     Ok(paths)
+}
+
+/// Maps `f` over `0..items` on the construction-time worker pool, results
+/// in item order, with one reusable network of `g` per worker — how
+/// every construction derives its per-source route batches.
+pub(crate) fn map_with_network<'g, T, F>(g: &'g Graph, items: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&mut SplitNetwork<'g>, usize) -> T + Sync,
+{
+    par::ordered_map_with(items, par::default_threads(), || SplitNetwork::new(g), f)
 }
 
 /// Checks that `paths` form a valid tree routing from `x` into `targets`:

@@ -26,9 +26,8 @@
 use ftr_graph::{connectivity, Graph, Node};
 
 use crate::concentrator::NeighborhoodConcentrator;
-use crate::kernel::insert_edge_routes;
-use crate::par;
-use crate::tree::tree_routing;
+use crate::kernel::{insert_edge_routes, require_connected};
+use crate::tree::{map_with_network, tree_routing_on};
 use crate::{Guarantee, Routing, RoutingError, RoutingKind, TheoremId};
 
 /// Which tri-circular construction to build.
@@ -79,13 +78,16 @@ impl TriCircularRouting {
     /// * [`RoutingError::ConcentratorTooSmall`] if no neighborhood set
     ///   with `3 * circle_size` members exists.
     pub fn build(g: &Graph, variant: TriCircularVariant) -> Result<Self, RoutingError> {
-        let kappa = connectivity::vertex_connectivity(g);
-        if kappa == 0 {
-            return Err(RoutingError::InsufficientConnectivity {
-                needed: 1,
-                found: 0,
-            });
-        }
+        Self::build_at(g, connectivity::vertex_connectivity(g), variant)
+    }
+
+    /// [`TriCircularRouting::build`] given `kappa = κ(g)`.
+    pub(crate) fn build_at(
+        g: &Graph,
+        kappa: usize,
+        variant: TriCircularVariant,
+    ) -> Result<Self, RoutingError> {
+        require_connected(kappa)?;
         let t = kappa - 1;
         let s = match variant {
             TriCircularVariant::Standard => 2 * t + 3,
@@ -182,25 +184,25 @@ fn construct(
     // T-CIRC 1–3 derive every source's tree routings in parallel;
     // insertion is sequential in source order.
     let nodes: Vec<Node> = g.nodes().collect();
-    let batches = par::ordered_map(nodes.len(), par::default_threads(), |idx| {
+    let batches = map_with_network(g, nodes.len(), |net, idx| {
         let x = nodes[idx];
         let mut paths = Vec::new();
         match conc.circle_of(x) {
             // T-CIRC 1: x outside Γ routes into every set of every circle.
             None => {
                 for i in 0..3 * s {
-                    paths.extend(tree_routing(g, x, conc.gamma(i), kappa)?);
+                    paths.extend(tree_routing_on(net, x, conc.gamma(i), kappa)?);
                 }
             }
             Some(global) => {
                 let (j, i) = (global / s, global % s);
                 // T-CIRC 2: forward within the own circle.
                 for k in 1..=forward {
-                    paths.extend(tree_routing(g, x, set_of(j, (i + k) % s), kappa)?);
+                    paths.extend(tree_routing_on(net, x, set_of(j, (i + k) % s), kappa)?);
                 }
                 // T-CIRC 3: every set of the next circle.
                 for l in 0..s {
-                    paths.extend(tree_routing(g, x, set_of((j + 1) % 3, l), kappa)?);
+                    paths.extend(tree_routing_on(net, x, set_of((j + 1) % 3, l), kappa)?);
                 }
             }
         }

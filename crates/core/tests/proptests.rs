@@ -6,8 +6,8 @@ use std::collections::HashMap;
 
 use ftr_core::tree::{is_tree_routing, tree_routing};
 use ftr_core::{
-    verify_tolerance, Compile, FaultStrategy, KernelRouting, MultiRouting, Planner, PlannerRequest,
-    RouteTable, Routing, RoutingError, RoutingKind, SchemeParams, SchemeRegistry,
+    verify_tolerance, Compile, FaultStrategy, GraphFacts, KernelRouting, MultiRouting, Planner,
+    PlannerRequest, RouteTable, Routing, RoutingError, RoutingKind, SchemeParams, SchemeRegistry,
 };
 use ftr_graph::{connectivity, gen, Graph, Node, NodeSet, Path};
 use proptest::prelude::*;
@@ -412,9 +412,10 @@ proptest! {
     ) {
         let registry = SchemeRegistry::standard();
         let params = SchemeParams::default();
+        let facts = GraphFacts::new(&g);
         for scheme in registry.iter() {
-            let Ok(offered) = scheme.applicability(&g, &params) else { continue };
-            let built = match scheme.build(&g, &params) {
+            let Ok(offered) = scheme.applicability(&facts, &params) else { continue };
+            let built = match scheme.build(&facts, &params) {
                 Ok(b) => b,
                 Err(e) => return Err(TestCaseError::fail(format!(
                     "{} declared applicable but failed to build: {e}", scheme.name()

@@ -3,7 +3,7 @@
 //! Every theorem in the paper is parameterised by the node-connectivity
 //! `t + 1` of the network, and the kernel construction (Section 3) starts
 //! from a *minimal separating set* of exactly `t + 1` nodes. This module
-//! computes both.
+//! computes both, in one pass: [`Connectivity::of`].
 //!
 //! The algorithm is the classical one (Even): fix a minimum-degree node
 //! `v`; the connectivity is the minimum of the local connectivities from
@@ -12,11 +12,23 @@
 //! (then it separates `v` from some non-neighbor) or contains `v` (then,
 //! being minimal, it has neighbors of `v` on both sides, which are
 //! non-adjacent and separated by it).
+//!
+//! The pass runs one capped max flow per witness pair on a single
+//! [`flow::SplitNetwork`], remembers the first pair that attains the
+//! minimum, and cuts that pair once at the end — `|witness pairs| + 1`
+//! max flows for κ and the separator together. [`vertex_connectivity`]
+//! and [`min_separator`] are the two halves of that result; callers that
+//! need both (every routing construction does) take the
+//! [`Connectivity`] and pay for the sweep once.
 
-use crate::{flow, traversal, Graph, Node, NodeSet};
+use crate::{flow::SplitNetwork, traversal, Graph, Node, NodeSet};
 
 /// Enumerates the node pairs whose local connectivities witness the
-/// global connectivity (see module docs), fewest-first.
+/// global connectivity (see module docs): a minimum-degree node `v`
+/// against each of its non-neighbors in node order, then the
+/// non-adjacent pairs of `v`'s neighbors in adjacency order. All pairs
+/// are non-adjacent. The order is load-bearing: the first pair attaining
+/// κ supplies the minimum separator.
 fn witness_pairs(g: &Graph) -> Vec<(Node, Node)> {
     let v = g
         .nodes()
@@ -40,11 +52,90 @@ fn witness_pairs(g: &Graph) -> Vec<(Node, Node)> {
     pairs
 }
 
+/// The node connectivity of a graph together with a minimum separating
+/// set, computed in one witness-pair pass.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Connectivity {
+    /// κ(G): the minimum number of nodes whose removal disconnects the
+    /// graph (`n - 1` for complete graphs, by convention; 0 for
+    /// disconnected graphs and graphs with fewer than two nodes).
+    pub kappa: usize,
+    /// A minimum separating set: `kappa` nodes whose removal disconnects
+    /// the graph. `None` for complete graphs and graphs with fewer than
+    /// two nodes (nothing separates them); the empty set for a
+    /// disconnected graph.
+    pub separator: Option<NodeSet>,
+}
+
+impl Connectivity {
+    /// Computes κ(G) and a minimum separating set.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ftr_graph::{connectivity::Connectivity, gen, traversal};
+    /// # fn main() -> Result<(), ftr_graph::GraphError> {
+    /// let g = gen::torus(4, 4)?;
+    /// let conn = Connectivity::of(&g);
+    /// assert_eq!(conn.kappa, 4);
+    /// let sep = conn.separator.expect("torus is not complete");
+    /// assert_eq!(sep.len(), 4);
+    /// assert!(!traversal::is_connected(&g, Some(&sep)));
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn of(g: &Graph) -> Self {
+        let n = g.node_count();
+        if n < 2 {
+            return Connectivity {
+                kappa: 0,
+                separator: None,
+            };
+        }
+        if g.is_complete() {
+            return Connectivity {
+                kappa: n - 1,
+                separator: None,
+            };
+        }
+        if !traversal::is_connected(g, None) {
+            return Connectivity {
+                kappa: 0,
+                separator: Some(NodeSet::new(n)),
+            };
+        }
+        let mut net = SplitNetwork::new(g);
+        // No flow exceeds its cap, so the first pair always registers and
+        // later ones only by a strict improvement: `tightest` ends as the
+        // first pair whose local connectivity is κ.
+        let mut kappa = g.min_degree();
+        let mut tightest = None;
+        for (s, t) in witness_pairs(g) {
+            let local = net
+                .local_vertex_connectivity(s, t, Some(kappa))
+                .expect("witness pairs are valid distinct nodes");
+            if local < kappa || tightest.is_none() {
+                kappa = local;
+                tightest = Some((s, t));
+            }
+        }
+        let (s, t) = tightest.expect("a non-complete graph has a non-adjacent witness pair");
+        let cut = net
+            .min_st_vertex_cut(s, t)
+            .expect("witness pairs are non-adjacent");
+        debug_assert_eq!(cut.len(), kappa);
+        Connectivity {
+            kappa,
+            separator: Some(cut),
+        }
+    }
+}
+
 /// The node connectivity κ(G): the minimum number of nodes whose removal
 /// disconnects the graph (or `n - 1` for complete graphs, by convention).
 ///
 /// Returns 0 for disconnected graphs and graphs with fewer than two
-/// nodes.
+/// nodes. This is [`Connectivity::of`]'s `kappa`.
 ///
 /// # Example
 ///
@@ -58,31 +149,12 @@ fn witness_pairs(g: &Graph) -> Vec<(Node, Node)> {
 /// # }
 /// ```
 pub fn vertex_connectivity(g: &Graph) -> usize {
-    let n = g.node_count();
-    if n < 2 {
-        return 0;
-    }
-    if g.is_complete() {
-        return n - 1;
-    }
-    if !traversal::is_connected(g, None) {
-        return 0;
-    }
-    let mut k = g.min_degree();
-    for (s, t) in witness_pairs(g) {
-        if k == 0 {
-            break;
-        }
-        let local = flow::local_vertex_connectivity(g, s, t, Some(k))
-            .expect("witness pairs are valid distinct nodes");
-        k = k.min(local);
-    }
-    k
+    Connectivity::of(g).kappa
 }
 
 /// Returns `true` if κ(G) is at least `k`, stopping flows early at `k`
-/// augmentations. Cheaper than [`vertex_connectivity`] when only a
-/// threshold is needed (construction preconditions check κ ≥ t + 1).
+/// augmentations and at the first pair that falls short. Cheaper than
+/// [`vertex_connectivity`] when only a threshold is needed.
 ///
 /// `k == 0` is vacuously true; complete graphs satisfy `k <= n - 1`.
 pub fn is_k_connected(g: &Graph, k: usize) -> bool {
@@ -99,8 +171,9 @@ pub fn is_k_connected(g: &Graph, k: usize) -> bool {
     if g.min_degree() < k || !traversal::is_connected(g, None) {
         return false;
     }
+    let mut net = SplitNetwork::new(g);
     witness_pairs(g).into_iter().all(|(s, t)| {
-        flow::local_vertex_connectivity(g, s, t, Some(k))
+        net.local_vertex_connectivity(s, t, Some(k))
             .expect("witness pairs are valid distinct nodes")
             >= k
     })
@@ -109,7 +182,7 @@ pub fn is_k_connected(g: &Graph, k: usize) -> bool {
 /// A minimum separating set: κ(G) nodes whose removal disconnects the
 /// graph. Returns `None` for complete graphs and graphs with fewer than
 /// two nodes (nothing separates them); a disconnected graph yields
-/// `Some(empty set)`.
+/// `Some(empty set)`. This is [`Connectivity::of`]'s `separator`.
 ///
 /// # Example
 ///
@@ -124,27 +197,7 @@ pub fn is_k_connected(g: &Graph, k: usize) -> bool {
 /// # }
 /// ```
 pub fn min_separator(g: &Graph) -> Option<NodeSet> {
-    let n = g.node_count();
-    if n < 2 || g.is_complete() {
-        return None;
-    }
-    if !traversal::is_connected(g, None) {
-        return Some(NodeSet::new(n));
-    }
-    let mut k = usize::MAX;
-    let mut best_pair = None;
-    for (s, t) in witness_pairs(g) {
-        let local = flow::local_vertex_connectivity(g, s, t, Some(k))
-            .expect("witness pairs are valid distinct nodes");
-        if local < k {
-            k = local;
-            best_pair = Some((s, t));
-        }
-    }
-    let (s, t) = best_pair.expect("a non-complete connected graph has a separating witness pair");
-    let cut = flow::min_st_vertex_cut(g, s, t).expect("witness pairs are non-adjacent");
-    debug_assert_eq!(cut.len(), k);
-    Some(cut)
+    Connectivity::of(g).separator
 }
 
 /// Returns `true` if removing `set` disconnects the remaining nodes into
@@ -258,7 +311,37 @@ mod tests {
             let fast = vertex_connectivity(&g);
             let brute = brute_force_connectivity(&g);
             assert_eq!(fast, brute, "seed {seed}");
+            // The single pass reports the same κ, and its separator is a
+            // minimum one whenever anything separates the graph.
+            let conn = Connectivity::of(&g);
+            assert_eq!(conn.kappa, brute, "seed {seed}");
+            assert_eq!(conn.separator, min_separator(&g), "seed {seed}");
+            if let Some(sep) = &conn.separator {
+                assert_eq!(sep.len(), brute, "seed {seed}");
+                assert!(brute == 0 || is_separator(&g, sep), "seed {seed}");
+            }
         }
+    }
+
+    #[test]
+    fn single_pass_degenerate_cases() {
+        let of = |g: &Graph| {
+            let Connectivity { kappa, separator } = Connectivity::of(g);
+            (kappa, separator)
+        };
+        // Fewer than two nodes: nothing to separate.
+        assert_eq!(of(&Graph::new(0)), (0, None));
+        assert_eq!(of(&Graph::new(1)), (0, None));
+        // Disconnected: the empty set already separates.
+        assert_eq!(of(&Graph::new(5)), (0, Some(NodeSet::new(5))));
+        let mut two_parts = Graph::new(7);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)] {
+            two_parts.add_edge(u, v).unwrap();
+        }
+        assert_eq!(of(&two_parts), (0, Some(NodeSet::new(7))));
+        // Complete: κ = n − 1 by convention, no separator.
+        assert_eq!(of(&gen::complete(2).unwrap()), (1, None));
+        assert_eq!(of(&gen::complete(6).unwrap()), (5, None));
     }
 
     fn brute_force_connectivity(g: &Graph) -> usize {

@@ -35,16 +35,17 @@
 //!
 //! # Example
 //!
-//! Compute the connectivity of a 4-dimensional hypercube and find a
-//! minimum separating set:
+//! Compute the connectivity of a 4-dimensional hypercube and a minimum
+//! separating set, in one pass:
 //!
 //! ```
-//! use ftr_graph::{connectivity, gen};
+//! use ftr_graph::{connectivity::Connectivity, gen};
 //!
 //! # fn main() -> Result<(), ftr_graph::GraphError> {
 //! let g = gen::hypercube(4)?;
-//! assert_eq!(connectivity::vertex_connectivity(&g), 4);
-//! let sep = connectivity::min_separator(&g).expect("hypercubes are not complete");
+//! let conn = Connectivity::of(&g);
+//! assert_eq!(conn.kappa, 4);
+//! let sep = conn.separator.expect("hypercubes are not complete");
 //! assert_eq!(sep.len(), 4);
 //! # Ok(())
 //! # }

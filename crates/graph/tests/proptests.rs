@@ -343,6 +343,33 @@ proptest! {
 
 // ----------------------------------------------------------- Flow / Menger
 
+/// One query against a split network; node ids range past every
+/// `small_gnp` graph so some queries are rejected.
+#[derive(Debug, Clone)]
+enum FlowQuery {
+    Connectivity(Node, Node, Option<usize>),
+    Paths(Node, Node, Option<usize>),
+    ToSet(Node, BTreeSet<Node>, Option<usize>),
+    Cut(Node, Node),
+}
+
+fn flow_query() -> impl Strategy<Value = FlowQuery> {
+    // Endpoints from a narrow range make `s == t` and adjacent pairs
+    // common; 0 stands for "no limit".
+    let limit = || (0usize..4).prop_map(|l| (l > 0).then_some(l));
+    prop_oneof![
+        (0u32..26, 0u32..26, limit()).prop_map(|(s, t, l)| FlowQuery::Connectivity(s, t, l)),
+        (0u32..26, 0u32..26, limit()).prop_map(|(s, t, l)| FlowQuery::Paths(s, t, l)),
+        (
+            0u32..26,
+            prop::collection::btree_set(0u32..26, 0..6),
+            limit()
+        )
+            .prop_map(|(s, picks, l)| FlowQuery::ToSet(s, picks, l)),
+        (0u32..26, 0u32..26).prop_map(|(s, t)| FlowQuery::Cut(s, t)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -404,6 +431,46 @@ proptest! {
             prop_assert!(p.interior().all(|v| !targets.contains(v)), "truncated");
             for v in p.nodes().iter().copied().filter(|&v| v != 0) {
                 prop_assert!(seen.insert(v), "node reused across paths");
+            }
+        }
+    }
+
+    // One reused network answers a random mix of s–t, to-set and
+    // min-cut queries exactly as a fresh network per query does. Node
+    // ids run past `n` and sets are unconstrained, so rejected queries
+    // (out-of-range node, `s == t`, `s` among the targets, empty
+    // targets, an adjacent pair for a cut) land between accepted ones:
+    // a failed query must not leak state into the next.
+    #[test]
+    fn reused_network_equals_fresh_one_shot_calls(
+        g in small_gnp(),
+        queries in prop::collection::vec(flow_query(), 1..24),
+    ) {
+        let n = g.node_count();
+        let mut net = flow::SplitNetwork::new(&g);
+        for q in queries {
+            match q {
+                FlowQuery::Connectivity(s, t, limit) => {
+                    let reused = net.local_vertex_connectivity(s, t, limit);
+                    prop_assert_eq!(reused, flow::local_vertex_connectivity(&g, s, t, limit));
+                }
+                FlowQuery::Paths(s, t, limit) => {
+                    let reused = net.vertex_disjoint_st_paths(s, t, limit);
+                    prop_assert_eq!(reused, flow::vertex_disjoint_st_paths(&g, s, t, limit));
+                }
+                FlowQuery::ToSet(s, picks, limit) => {
+                    let targets =
+                        NodeSet::from_nodes(n, picks.into_iter().filter(|&v| (v as usize) < n));
+                    let reused = net.vertex_disjoint_paths_to_set(s, &targets, limit);
+                    prop_assert_eq!(
+                        reused,
+                        flow::vertex_disjoint_paths_to_set(&g, s, &targets, limit)
+                    );
+                }
+                FlowQuery::Cut(s, t) => {
+                    let reused = net.min_st_vertex_cut(s, t);
+                    prop_assert_eq!(reused, flow::min_st_vertex_cut(&g, s, t));
+                }
             }
         }
     }

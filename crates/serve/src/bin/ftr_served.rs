@@ -40,7 +40,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use ftr_core::{Planner, PlannerRequest, SchemeRegistry, SchemeSpec};
-use ftr_graph::{connectivity, Graph};
+use ftr_graph::Graph;
 use ftr_serve::spec::parse_graph_spec;
 use ftr_serve::{RoutingSnapshot, Server, ServerConfig};
 
@@ -206,9 +206,9 @@ fn build_scheme(
     faults: Option<usize>,
 ) -> Result<ftr_core::BuiltRouting, String> {
     if scheme == "auto" {
-        let budget =
-            faults.unwrap_or_else(|| connectivity::vertex_connectivity(graph).saturating_sub(1));
-        let request = PlannerRequest::tolerate(budget).single_routes();
+        let request = faults
+            .map_or_else(PlannerRequest::full_tolerance, PlannerRequest::tolerate)
+            .single_routes();
         let plan = Planner::new()
             .plan(graph, &request)
             .map_err(|e| e.to_string())?;

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use ftr_core::{Planner, PlannerRequest, SchemeParams, SchemeRegistry};
+use ftr_core::{GraphFacts, Planner, PlannerRequest, SchemeParams, SchemeRegistry};
 use ftr_graph::Node;
 
 use crate::epoch::{Epoch, EpochReader, EpochStore, QueryKey};
@@ -1024,19 +1024,18 @@ impl DispatchCtx<'_> {
                     .get_or_init(|| {
                         let registry = SchemeRegistry::standard();
                         let params = SchemeParams::default();
+                        let facts = GraphFacts::new(self.snapshot.graph());
                         let parts: Vec<String> = registry
                             .iter()
-                            .map(|scheme| {
-                                match scheme.applicability(self.snapshot.graph(), &params) {
-                                    Ok(g) => format!(
-                                        "{}=({},{})/{}",
-                                        scheme.name(),
-                                        g.diameter,
-                                        g.faults,
-                                        g.theorem.token()
-                                    ),
-                                    Err(_) => format!("{}=-", scheme.name()),
-                                }
+                            .map(|scheme| match scheme.applicability(&facts, &params) {
+                                Ok(g) => format!(
+                                    "{}=({},{})/{}",
+                                    scheme.name(),
+                                    g.diameter,
+                                    g.faults,
+                                    g.theorem.token()
+                                ),
+                                Err(_) => format!("{}=-", scheme.name()),
                             })
                             .collect();
                         format!("OK SCHEMES {}", parts.join(" "))

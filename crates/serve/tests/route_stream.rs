@@ -9,7 +9,7 @@
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
-use ftr_core::{SchemeParams, SchemeRegistry};
+use ftr_core::{GraphFacts, SchemeParams, SchemeRegistry};
 use ftr_graph::spec::parse_graph_spec;
 use ftr_graph::Node;
 use ftr_serve::{proto, query, Epoch, EpochStore, RoutingSnapshot};
@@ -173,10 +173,11 @@ fn streamed_replies_equal_the_reference_rendering() {
     let (mut detours, mut unreachable, mut replies_checked) = (0usize, 0usize, 0usize);
     for graph_spec in GRAPHS {
         let (graph, _) = parse_graph_spec(graph_spec).unwrap();
+        let facts = GraphFacts::new(&graph);
         for scheme in registry.iter() {
             // Inapplicable schemes and multiroutings (one route per
             // ordered pair is what a snapshot serves) are not servable.
-            let Ok(built) = scheme.build(&graph, &SchemeParams::default()) else {
+            let Ok(built) = scheme.build(&facts, &SchemeParams::default()) else {
                 continue;
             };
             let budget = built.guarantee().faults;

@@ -11,7 +11,7 @@
 use ftr_core::{
     verify_tolerance, Compile, FaultStrategy, KernelRouting, Routing, RoutingError, RoutingKind,
 };
-use ftr_graph::{connectivity, flow, gen, Graph, Path};
+use ftr_graph::{connectivity::Connectivity, flow::SplitNetwork, gen, Graph, Path};
 
 use super::{threads, NamedGraph, Scale};
 use crate::report::{fmt_diameter, Table};
@@ -19,8 +19,8 @@ use crate::report::{fmt_diameter, Table};
 /// Builds the kernel routing *without* the shortcut rule, counting
 /// conflicting inserts (which are skipped, keeping the first route).
 fn kernel_without_shortcut(g: &Graph) -> Result<(Routing, usize), RoutingError> {
-    let kappa = connectivity::vertex_connectivity(g);
-    let sep = connectivity::min_separator(g).ok_or_else(|| RoutingError::PropertyNotSatisfied {
+    let Connectivity { kappa, separator } = Connectivity::of(g);
+    let sep = separator.ok_or_else(|| RoutingError::PropertyNotSatisfied {
         what: "complete graph".into(),
     })?;
     let mut routing = Routing::new(g.node_count(), RoutingKind::Bidirectional);
@@ -28,12 +28,13 @@ fn kernel_without_shortcut(g: &Graph) -> Result<(Routing, usize), RoutingError> 
         routing.insert(Path::edge(u, v).expect("valid edge"))?;
     }
     let mut conflicts = 0usize;
+    let mut net = SplitNetwork::new(g);
     for x in g.nodes() {
         if sep.contains(x) {
             continue;
         }
         // Raw disjoint paths, deliberately skipping the shortcut rule.
-        let paths = flow::vertex_disjoint_paths_to_set(g, x, &sep, Some(kappa))?;
+        let paths = net.vertex_disjoint_paths_to_set(x, &sep, Some(kappa))?;
         for p in paths {
             match routing.insert(p) {
                 Ok(()) => {}

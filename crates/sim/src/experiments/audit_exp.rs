@@ -12,7 +12,7 @@
 //! upgraded from advertised to audited.
 
 use ftr_audit::{audit_built, check, SearchConfig, SearchMode, Verdict};
-use ftr_core::{SchemeRegistry, SchemeSpec, ToleranceClaim};
+use ftr_core::{GraphFacts, SchemeRegistry, SchemeSpec, ToleranceClaim};
 use ftr_graph::gen;
 
 use super::{threads, NamedGraph, Scale};
@@ -68,9 +68,10 @@ pub fn e19_audit_sweep(scale: Scale) -> Table {
     );
     for NamedGraph { name, graph } in e19_suite(scale) {
         let n = graph.node_count();
+        let facts = GraphFacts::new(&graph);
         for scheme in registry.iter() {
             let spec = SchemeSpec::named(scheme.name());
-            let Ok(built) = scheme.build(&graph, &spec.params) else {
+            let Ok(built) = scheme.build(&facts, &spec.params) else {
                 continue; // inapplicable here; E18 records the reasons
             };
             let advertised = built.guarantee().claim();
@@ -126,14 +127,13 @@ pub fn e19_planner_audited(scale: Scale) -> Table {
     );
     for NamedGraph { name, graph } in e19_suite(scale) {
         let n = graph.node_count();
-        let t = ftr_graph::connectivity::vertex_connectivity(&graph).saturating_sub(1);
-        let request = ftr_core::PlannerRequest::tolerate(t);
+        let request = ftr_core::PlannerRequest::full_tolerance();
         match ftr_audit::plan_audited(&planner, &graph, &request, &search_config()) {
             Err(e) => {
                 table.push_row([
                     name.clone(),
                     n.to_string(),
-                    t.to_string(),
+                    "-".to_string(),
                     "-".to_string(),
                     e.to_string(),
                     "-".to_string(),
@@ -146,7 +146,7 @@ pub fn e19_planner_audited(scale: Scale) -> Table {
                 table.push_row([
                     name.clone(),
                     n.to_string(),
-                    t.to_string(),
+                    plan.winner.guarantee().faults.to_string(),
                     plan.winner.spec().to_string(),
                     plan.winner.guarantee().to_string(),
                     render_verdict(&report.verdict),

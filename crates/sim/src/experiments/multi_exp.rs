@@ -5,7 +5,7 @@ use ftr_core::{
     concentrator_multirouting, full_multirouting, single_tree_multirouting, verify_tolerance,
     AugmentedKernelRouting, Compile, FaultStrategy, ToleranceClaim,
 };
-use ftr_graph::{connectivity, gen};
+use ftr_graph::gen;
 
 use super::{threads, NamedGraph, Scale};
 use crate::report::{fmt_bool, fmt_diameter, Table};
@@ -41,9 +41,9 @@ pub fn e11_multiroutings(scale: Scale) -> Table {
     );
     for NamedGraph { name, graph } in graphs {
         let n = graph.node_count();
-        let t = connectivity::vertex_connectivity(&graph) - 1;
-
         let full = full_multirouting(&graph).expect("connected");
+        // Its parallel budget is t + 1 = κ(G): no separate sweep for t.
+        let t = full.max_parallel() - 1;
         let report = verify_tolerance(&full.compile(), t, FaultStrategy::Exhaustive, threads());
         let claim = ToleranceClaim {
             diameter: 1,

@@ -9,7 +9,8 @@
 //! graph + fault suite and then lets the [`Planner`] pick winners.
 
 use ftr_core::{
-    CandidateOutcome, FaultStrategy, Planner, PlannerRequest, SchemeRegistry, SchemeSpec,
+    CandidateOutcome, FaultStrategy, GraphFacts, Planner, PlannerRequest, SchemeRegistry,
+    SchemeSpec,
 };
 use ftr_graph::gen;
 
@@ -68,10 +69,11 @@ pub(crate) fn push_scheme_rows(
         .expect("specs are validated at parse time");
     for NamedGraph { name, graph } in suite {
         let n = graph.node_count();
+        let facts = GraphFacts::new(graph);
         // Learn the construction's full tolerance t, then re-apply with
         // the experiment's budget so the guarantee is regime-correct
         // (e.g. Theorem 4 below t/2 for the kernel).
-        let probe = match scheme.applicability(graph, &spec.params) {
+        let probe = match scheme.applicability(&facts, &spec.params) {
             Ok(g) => g,
             Err(inap) => {
                 push_failure_row(table, name, n, &inap.to_string());
@@ -81,7 +83,7 @@ pub(crate) fn push_scheme_rows(
         let t = probe.faults;
         let mut params = spec.params.clone();
         params.faults = Some(budget_for(t));
-        let built = match scheme.build(graph, &params) {
+        let built = match scheme.build(&facts, &params) {
             Ok(b) => b,
             Err(e) => {
                 push_failure_row(table, name, n, &e.to_string());
@@ -168,9 +170,10 @@ pub fn e18_scheme_sweep(scale: Scale) -> Table {
     );
     for NamedGraph { name, graph } in e18_suite(scale) {
         let n = graph.node_count();
+        let facts = GraphFacts::new(&graph);
         for scheme in registry.iter() {
             let spec = SchemeSpec::named(scheme.name());
-            match scheme.applicability(&graph, &spec.params) {
+            match scheme.applicability(&facts, &spec.params) {
                 Err(inap) => {
                     table.push_row([
                         name.clone(),
@@ -184,7 +187,7 @@ pub fn e18_scheme_sweep(scale: Scale) -> Table {
                 }
                 Ok(_) => {
                     let built = scheme
-                        .build(&graph, &spec.params)
+                        .build(&facts, &spec.params)
                         .expect("applicability promised this build");
                     let claim = built.guarantee().claim();
                     let report = built.verify(FaultStrategy::Exhaustive, threads());
@@ -235,14 +238,12 @@ pub fn e18_planner_selection(scale: Scale) -> Table {
     );
     for NamedGraph { name, graph } in e18_suite(scale) {
         let n = graph.node_count();
-        let t = ftr_graph::connectivity::vertex_connectivity(&graph).saturating_sub(1);
-        let request = PlannerRequest::tolerate(t);
-        match planner.plan(&graph, &request) {
+        match planner.plan(&graph, &PlannerRequest::full_tolerance()) {
             Err(e) => {
                 table.push_row([
                     name.clone(),
                     n.to_string(),
-                    t.to_string(),
+                    "-".to_string(),
                     "-".to_string(),
                     e.to_string(),
                     "-".to_string(),
@@ -262,7 +263,7 @@ pub fn e18_planner_selection(scale: Scale) -> Table {
                 table.push_row([
                     name.clone(),
                     n.to_string(),
-                    t.to_string(),
+                    claim.faults.to_string(),
                     plan.winner.spec().to_string(),
                     format!(
                         "({}, {}) per {}",
