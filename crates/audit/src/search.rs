@@ -29,6 +29,18 @@
 //!   [`EpochState`] cursors; merges are ordered by enumeration key, so
 //!   [`SearchMode::Worst`] results (verdict, worst diameter, witness
 //!   *and* visit counts) are identical for every thread count.
+//! * **Bounded evaluation.** Visiting a set asks a yes/no question —
+//!   is `D(R/F)` within the claim's `d` (certify) or within the
+//!   subtree's incumbent (worst)? — so it is *decided*
+//!   ([`EpochState::diameter_within`]: one BFS from and one to a hub
+//!   node, then only the sources the hub bound leaves open) rather than
+//!   measured with a BFS from every survivor. The exact diameter is
+//!   still computed, by the same sweep, for the sets that answer no: a
+//!   violation witness's recorded diameter, a new worst. Every set is
+//!   still visited and the prune test never looks at an evaluation's
+//!   result beyond that yes/no, so `visited`, `prune_tests`, `pruned_*`,
+//!   verdicts, witnesses and certificates are what measuring every set
+//!   would give (`tests/identity.rs` pins them).
 //!
 //! Every searched set is accounted for: `visited + pruned_sets` must
 //! equal the whole space `Σ_{k<=f} C(m, k)` for a holds verdict — the
@@ -242,6 +254,10 @@ struct Ctx<'a> {
     min_prune_subtree: u64,
     /// Impact-ordered candidate nodes.
     order: Vec<Node>,
+    /// Node count of the prune test's scratch graph: `n`, or 0 when no
+    /// subtree of this search is large enough to be tested — the two
+    /// tables below are then empty too.
+    h_nodes: usize,
     /// Per slot: the smallest suffix index `j` at which the slot is
     /// unkillable (no interior node sits at position `>= j`); `u32::MAX`
     /// for slots through base faults (never live).
@@ -259,13 +275,26 @@ struct Ctx<'a> {
     stop: AtomicBool,
 }
 
+impl Ctx<'_> {
+    /// What a set must stay within to be of no interest: the claim's
+    /// bound when certifying, the incumbent when maximizing (`None` once
+    /// a disconnection is the incumbent — nothing is worse).
+    fn limit(&self, incumbent: Option<u32>) -> Option<u32> {
+        match self.mode {
+            SearchMode::Certify => Some(self.claim.diameter),
+            SearchMode::Worst => incumbent,
+        }
+    }
+}
+
 /// Per-worker mutable search state.
 struct Local {
     state: EpochState,
     /// Scratch for the unkillable graph `H`.
     h: BitMatrix,
-    /// All-zero matrix used to reset `h` without reallocating.
-    zeros: BitMatrix,
+    /// The prune test's bitsets: endpoints, relays, visited, frontier,
+    /// next.
+    sets: [Vec<u64>; 5],
     visited: u64,
     prune_tests: u64,
     pruned_subtrees: u64,
@@ -306,12 +335,18 @@ impl Local {
         }
     }
 
-    /// One diameter evaluation, with cap enforcement.
-    fn eval(&mut self, ctx: &Ctx<'_>, key: u64) -> Option<u32> {
+    /// One evaluation, with cap enforcement: decides whether the current
+    /// set stays within `bound` and measures (and records) its diameter
+    /// only if it does not — `None` always measures. Returns the diameter
+    /// where it matters, i.e. raised to `bound` when below it.
+    fn eval(&mut self, ctx: &Ctx<'_>, key: u64, bound: Option<u32>) -> Option<u32> {
         self.visited += 1;
         if ctx.evals.fetch_add(1, Ordering::Relaxed) + 1 > ctx.cap {
             self.exhausted = true;
             ctx.stop.store(true, Ordering::Relaxed);
+        }
+        if bound.is_some_and(|b| self.state.diameter_within(ctx.engine, b)) {
+            return bound;
         }
         let d = self.state.diameter();
         self.record(ctx, d, key);
@@ -371,27 +406,32 @@ pub fn audit(
     let space = search_space(m, f);
 
     // ---- prune-test precomputation -----------------------------------
-    let mut pos = vec![u32::MAX; n];
-    for (i, &v) in order.iter().enumerate() {
-        pos[v as usize] = i as u32;
-    }
-    let mut unkillable_from = vec![0u32; engine.slot_count()];
-    for (slot, from) in unkillable_from.iter_mut().enumerate() {
-        for v in engine.slot_interior(slot) {
-            let p = pos[v as usize];
-            *from = (*from).max(if p == u32::MAX {
-                u32::MAX // interior touches a base fault: never live
-            } else {
-                p + 1
-            });
+    // Only subtrees of at least `min_prune_subtree` sets are tested, and
+    // the first top-level subtree is the largest: when even that one is
+    // too small (any `f <= 1` under the default) nothing below is read.
+    let min_prune_subtree = config.min_prune_subtree.max(1);
+    let prunes =
+        f > 0 && sets_below(m as u64 - 1, f as u64 - 1).saturating_add(1) >= min_prune_subtree;
+    let mut unkillable_from = vec![0u32; if prunes { engine.slot_count() } else { 0 }];
+    let mut suffix = vec![0u64; if prunes { (m + 1) * stride } else { 0 }];
+    if prunes {
+        // The inverted index in candidate order: the last position
+        // written to a slot is its highest; base faults (never live)
+        // overwrite everything.
+        for (i, &v) in order.iter().enumerate() {
+            for &slot in engine.slots_through(v) {
+                unkillable_from[slot as usize] = i as u32 + 1;
+            }
         }
-    }
-    let mut suffix = vec![0u64; (m + 1) * stride];
-    for j in (0..m).rev() {
-        let (head, tail) = suffix.split_at_mut((j + 1) * stride);
-        head[j * stride..].copy_from_slice(&tail[..stride]);
-        let v = order[j] as usize;
-        head[j * stride + v / 64] |= 1u64 << (v % 64);
+        for &slot in base.iter().flat_map(|v| engine.slots_through(v)) {
+            unkillable_from[slot as usize] = u32::MAX;
+        }
+        for j in (0..m).rev() {
+            let (head, tail) = suffix.split_at_mut((j + 1) * stride);
+            head[j * stride..].copy_from_slice(&tail[..stride]);
+            let v = order[j] as usize;
+            head[j * stride + v / 64] |= 1u64 << (v % 64);
+        }
     }
     let mut full = vec![!0u64; stride];
     if stride > 0 && !n.is_multiple_of(64) {
@@ -402,8 +442,9 @@ pub fn audit(
         engine,
         claim,
         mode: config.mode,
-        min_prune_subtree: config.min_prune_subtree.max(1),
+        min_prune_subtree,
         order,
+        h_nodes: if prunes { n } else { 0 },
         unkillable_from,
         suffix,
         stride,
@@ -414,8 +455,9 @@ pub fn audit(
     };
 
     // ---- the base set itself (enumeration key 0) ---------------------
+    // Measured in worst mode, where it seeds every subtree's incumbent.
     let mut root = Local::new(&ctx, base);
-    let base_diam = root.eval(&ctx, 0);
+    let base_diam = root.eval(&ctx, 0, ctx.limit(None));
     let base_found = Found {
         diameter: base_diam,
         key: 0,
@@ -551,11 +593,10 @@ impl Local {
         for v in base.iter() {
             state.insert(ctx.engine, v);
         }
-        let n = ctx.engine.node_count();
         Local {
             state,
-            h: BitMatrix::new(n),
-            zeros: BitMatrix::new(n),
+            h: BitMatrix::new(ctx.h_nodes),
+            sets: std::array::from_fn(|_| vec![0; ctx.h_nodes.div_ceil(64)]),
             visited: 0,
             prune_tests: 0,
             pruned_subtrees: 0,
@@ -578,10 +619,7 @@ impl Local {
         // (`sets_below` saturates, so everything downstream of it must
         // too — a wrapped count would silently disable the prune.)
         let subtree = sets_below((m - i - 1) as u64, f as u64 - 1).saturating_add(1);
-        let limit = match ctx.mode {
-            SearchMode::Certify => Some(ctx.claim.diameter),
-            SearchMode::Worst => base_diam,
-        };
+        let limit = ctx.limit(base_diam);
         if subtree >= ctx.min_prune_subtree {
             if let Some(limit) = limit {
                 self.prune_tests += 1;
@@ -595,7 +633,7 @@ impl Local {
         let first = ctx.order[i];
         let mut key = (i as u64 + 1) << 40;
         self.state.insert(ctx.engine, first);
-        let d = self.eval(ctx, key);
+        let d = self.eval(ctx, key, limit);
         let mut incumbent = match (base_diam, d) {
             (Some(a), Some(b)) => Some(a.max(b)),
             _ => None,
@@ -630,11 +668,7 @@ impl Local {
             return false;
         }
         if subtree >= ctx.min_prune_subtree {
-            let limit = match ctx.mode {
-                SearchMode::Certify => Some(ctx.claim.diameter),
-                SearchMode::Worst => *incumbent,
-            };
-            if let Some(limit) = limit {
+            if let Some(limit) = ctx.limit(*incumbent) {
                 self.prune_tests += 1;
                 if self.extensions_stay_within(ctx, from, limit) {
                     self.pruned_subtrees += 1;
@@ -651,7 +685,7 @@ impl Local {
             let v = ctx.order[i];
             self.state.insert(ctx.engine, v);
             *key += 1;
-            let d = self.eval(ctx, *key);
+            let d = self.eval(ctx, *key, ctx.limit(*incumbent));
             if ctx.mode == SearchMode::Certify && self.best.is_some() {
                 self.state.remove(ctx.engine, v);
                 return false;
@@ -688,7 +722,7 @@ impl Local {
         let engine = ctx.engine;
         let stride = ctx.stride;
         // H: arcs unkillable by any subset of the suffix.
-        self.h.copy_from(&self.zeros);
+        self.h.clear_arcs();
         for (p, &(s, d)) in engine.pairs().iter().enumerate() {
             let unkillable = engine
                 .pair_slot_range(p)
@@ -700,17 +734,13 @@ impl Local {
         // Endpoints: everything outside S. Relays: endpoints minus C.
         let s_words = self.state.faults().words();
         let suffix = &ctx.suffix[j * stride..(j + 1) * stride];
-        let mut endpoints = vec![0u64; stride];
-        let mut relays = vec![0u64; stride];
+        let [endpoints, relays, visited, frontier, next] = &mut self.sets;
         for w in 0..stride {
             endpoints[w] = ctx.full[w] & !s_words[w];
             relays[w] = endpoints[w] & !suffix[w];
         }
         // Every endpoint must reach every other endpoint within `limit`
         // hops, relaying only through `relays`.
-        let mut visited = vec![0u64; stride];
-        let mut frontier = vec![0u64; stride];
-        let mut next = vec![0u64; stride];
         for wi in 0..stride {
             let mut bits = endpoints[wi];
             while bits != 0 {
@@ -721,7 +751,7 @@ impl Local {
                 frontier.fill(0);
                 visited[wi] |= 1u64 << b;
                 frontier[wi] |= 1u64 << b;
-                let mut covered = covers(&visited, &endpoints);
+                let mut covered = covers(visited, endpoints);
                 let mut depth = 0;
                 // The source expands unconditionally (it is an endpoint);
                 // later levels expand only through allowed relays.
@@ -757,8 +787,8 @@ impl Local {
                     }
                     depth += 1;
                     first = false;
-                    std::mem::swap(&mut frontier, &mut next);
-                    covered = covers(&visited, &endpoints);
+                    std::mem::swap(frontier, next);
+                    covered = covers(visited, endpoints);
                 }
                 if !covered {
                     return false;
@@ -803,7 +833,10 @@ mod tests {
         assert_eq!(binom(10, 2), 45);
         assert_eq!(binom(5, 0), 1);
         assert_eq!(binom(3, 5), 0);
-        assert_eq!(search_space(10, 2), 56);
+        assert_eq!(search_space(10, 0), 1);
+        assert_eq!(search_space(10, 1), 11);
+        assert_eq!(search_space(10, 2), 56); // 1 + 10 + 45
+        assert_eq!(search_space(3, 5), 8); // whole powerset
         assert_eq!(search_space(3, 9), 8);
         assert_eq!(search_space(u64::MAX as usize >> 1, 3), u64::MAX);
     }

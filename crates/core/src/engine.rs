@@ -18,8 +18,10 @@
 //!   node — the exhaustive verifier's depth-first enumeration and the
 //!   adversarial hill climber both toggle one fault at a time;
 //! * the current surviving route graph lives in a [`BitMatrix`], whose
-//!   all-pairs diameter is measured by row-OR frontier expansion with
-//!   early exit on disconnection.
+//!   all-pairs diameter is measured by row-OR frontier expansion — or,
+//!   when only `diameter <= d` is asked ([`EpochState::diameter_within`]),
+//!   decided from two BFS passes around a hub node picked at compile
+//!   time from the fault-free graph's highest-degree nodes.
 //!
 //! The route-walk path remains the reference implementation; an
 //! equivalence property test (`tests/engine_equivalence.rs`) checks the
@@ -122,7 +124,15 @@ pub struct CompiledRoutes {
     index: Vec<u32>,
     /// The fault-free surviving route graph (an arc per routed pair).
     base: BitMatrix,
+    /// Hub candidates for [`BitMatrix::diameter_within`]: the
+    /// highest-degree nodes of `base`, chosen here once so no fault set
+    /// pays a degree scan, and more of them than the fault sets a search
+    /// visits have members, so one is always alive.
+    hubs: Vec<Node>,
 }
+
+/// How many hub candidates an engine keeps.
+const HUB_CANDIDATES: usize = 16;
 
 impl CompiledRoutes {
     /// Compiles a single-route-per-pair routing.
@@ -206,6 +216,7 @@ impl CompiledRoutes {
             slot_pair,
             index_off,
             index,
+            hubs: base.hub_candidates(HUB_CANDIDATES),
             base,
         }
     }
@@ -247,15 +258,16 @@ impl CompiledRoutes {
     /// route-coverage impact score the adversarial searcher seeds with:
     /// failing a high-impact node kills the most routes at once.
     pub fn routes_through(&self, v: Node) -> usize {
-        let v = v as usize;
-        assert!(v < self.n, "node {v} out of range for {} nodes", self.n);
-        (self.index_off[v + 1] - self.index_off[v]) as usize
+        self.slots_through(v).len()
     }
 
-    /// The interior nodes of one route slot (the nodes whose failure
-    /// kills it), in ascending order.
-    pub fn slot_interior(&self, slot: usize) -> impl Iterator<Item = Node> + '_ {
-        Self::mask_nodes(&self.masks[slot * self.stride..(slot + 1) * self.stride])
+    /// The route slots whose interior contains `v` — the inverted-index
+    /// row [`EpochState::insert`] walks, and what the audit searcher
+    /// builds its prune tables from.
+    pub fn slots_through(&self, v: Node) -> &[u32] {
+        let v = v as usize;
+        assert!(v < self.n, "node {v} out of range for {} nodes", self.n);
+        &self.index[self.index_off[v] as usize..self.index_off[v + 1] as usize]
     }
 
     /// The slots owned by pair `p`.
@@ -293,9 +305,7 @@ impl CompiledRoutes {
         let generation = scratch.generation;
         debug_assert!(scratch.dead.is_empty());
         for v in faults.iter() {
-            let range =
-                self.index_off[v as usize] as usize..self.index_off[v as usize + 1] as usize;
-            for &slot in &self.index[range] {
+            for &slot in self.slots_through(v) {
                 let p = self.slot_pair[slot as usize] as usize;
                 if scratch.pair_stamp[p] == generation {
                     continue;
@@ -561,9 +571,7 @@ impl EpochState {
         if !self.faults.insert(v) {
             return false;
         }
-        let range =
-            engine.index_off[v as usize] as usize..engine.index_off[v as usize + 1] as usize;
-        for &slot in &engine.index[range] {
+        for &slot in engine.slots_through(v) {
             let slot = slot as usize;
             if self.kill[slot] == 0 {
                 let p = engine.slot_pair[slot] as usize;
@@ -590,9 +598,7 @@ impl EpochState {
         if !self.faults.remove(v) {
             return false;
         }
-        let range =
-            engine.index_off[v as usize] as usize..engine.index_off[v as usize + 1] as usize;
-        for &slot in &engine.index[range] {
+        for &slot in engine.slots_through(v) {
             let slot = slot as usize;
             self.kill[slot] -= 1;
             if self.kill[slot] == 0 {
@@ -636,6 +642,23 @@ impl EpochState {
     /// [`RouteTable::surviving_diameter`] at the same fault set.
     pub fn diameter(&self) -> Option<u32> {
         self.live.diameter(Some(&self.faults))
+    }
+
+    /// Decides `self.diameter() <= bound` (`false` on disconnection)
+    /// without measuring it — [`BitMatrix::diameter_within`] around the
+    /// engine's hub candidates, typically two BFS passes where
+    /// [`EpochState::diameter`] runs one per surviving node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `engine` is not the engine this state was created from.
+    pub fn diameter_within(&self, engine: &CompiledRoutes, bound: u32) -> bool {
+        assert_eq!(
+            self.engine_id, engine.build_id,
+            "epoch state used with a different engine"
+        );
+        self.live
+            .diameter_within(Some(&self.faults), bound, &engine.hubs)
     }
 }
 

@@ -3,8 +3,9 @@
 //! Compiled only under the `obs-counters` feature: with it disabled the
 //! statics (and the counting code in the kernels) do not exist, so the
 //! default build pays nothing. With it enabled the cost is one relaxed
-//! atomic add per field per [`crate::BitMatrix`] eccentricity call —
-//! never one per frontier word or per level — and one per max flow a
+//! atomic add per field per [`crate::BitMatrix`] BFS pass (from a source
+//! or, for the hub's in-distances, to one) — never one per frontier word
+//! or per level — and one per max flow a
 //! [`crate::flow::SplitNetwork`] runs, never one per augmentation.
 //!
 //! [`FLOW_RUNS`] is what makes construction cost testable without a
@@ -14,7 +15,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Bit-parallel BFS invocations (one per eccentricity evaluation).
+/// Bit-parallel BFS passes (one per eccentricity evaluation, push or
+/// pull).
 pub static BFS_CALLS: AtomicU64 = AtomicU64::new(0);
 /// Total BFS levels expanded (frontier iterations) across all calls.
 pub static BFS_LEVELS: AtomicU64 = AtomicU64::new(0);

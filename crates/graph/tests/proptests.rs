@@ -214,6 +214,93 @@ proptest! {
     }
 }
 
+/// A seeded asymmetric digraph on `n` nodes: optionally a one-way ring
+/// (so it is often strongly connected, with in- and out-distances that
+/// differ), plus `extra` arcs from a linear congruential stream.
+fn seeded_digraph(
+    n: usize,
+    ring: bool,
+    extra: usize,
+    seed: u64,
+) -> (ftr_graph::BitMatrix, ftr_graph::DiGraph) {
+    let mut bm = ftr_graph::BitMatrix::new(n);
+    let mut dg = ftr_graph::DiGraph::new(n);
+    let mut arc = |u: usize, v: usize| {
+        if u != v {
+            bm.set(u as Node, v as Node);
+            dg.add_arc(u as Node, v as Node).expect("in range");
+        }
+    };
+    if ring {
+        for u in 0..n {
+            arc(u, (u + 1) % n);
+        }
+    }
+    let mut x = seed | 1;
+    for _ in 0..extra {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        arc((x >> 16) as usize % n, (x >> 40) as usize % n);
+    }
+    (bm, dg)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // The decision is the exact diameter compared to the bound — for
+    // every bound, whatever the hub list — and the exact diameter is
+    // the adjacency-list reference's.
+    #[test]
+    fn bitmatrix_decision_matches_exact_diameter(
+        n in prop_oneof![Just(1usize), Just(2), Just(63), Just(64), Just(65), Just(130)],
+        ring in any::<bool>(),
+        density in 0usize..5,
+        seed in any::<u64>(),
+        avoid_kind in 0u32..4,
+        picks in prop::collection::btree_set(0u32..130, 0..12),
+    ) {
+        let (bm, dg) = seeded_digraph(n, ring, density * n, seed);
+        let keep = (seed >> 7) as usize % n;
+        let avoid = match avoid_kind {
+            0 => NodeSet::new(n),
+            1 => NodeSet::from_nodes(n, picks.iter().copied().filter(|&v| (v as usize) < n)),
+            2 => NodeSet::from_nodes(n, (0..n as Node).filter(|&v| v as usize != keep)),
+            _ => NodeSet::from_nodes(n, 0..n as Node),
+        };
+        let exact = bm.diameter(Some(&avoid));
+        prop_assert_eq!(exact, dg.diameter(Some(&avoid)));
+
+        let alive = (0..n as Node).find(|&v| !avoid.contains(v));
+        let dead = avoid.iter().next();
+        let hub_lists: Vec<Vec<Node>> = vec![
+            vec![],
+            dead.into_iter().collect(),
+            alive.into_iter().chain(alive).collect(),
+            vec![n as Node, Node::MAX],
+            dead.into_iter().chain([Node::MAX]).chain(dead).chain(picks.iter().copied()).collect(),
+            bm.hub_candidates(4),
+        ];
+        let mut scratch = ftr_graph::BfsScratch::new();
+        for hubs in &hub_lists {
+            for bound in 0..=n as u32 {
+                let expect = matches!(exact, Some(d) if d <= bound);
+                prop_assert_eq!(
+                    bm.diameter_within(Some(&avoid), bound, hubs),
+                    expect,
+                    "bound {} hubs {:?} exact {:?}", bound, hubs, exact
+                );
+                prop_assert_eq!(
+                    bm.diameter_within_with(Some(&avoid), bound, hubs, &mut scratch),
+                    expect
+                );
+            }
+        }
+        prop_assert_eq!(bm.diameter_with(Some(&avoid), &mut scratch), exact);
+    }
+}
+
 // ------------------------------------------------------------------- Path
 
 proptest! {

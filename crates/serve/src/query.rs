@@ -434,6 +434,22 @@ pub fn tolerate(
     if needed > budget {
         return Err(QueryError::TolerateBudget { needed, budget });
     }
+    tolerate_search(snapshot, epoch, bound, extra)
+}
+
+/// The search of [`tolerate`] without its budget guard, for a caller
+/// that has already compared [`tolerate_cost`] to its budget (the server
+/// does, before it consults the epoch cache).
+///
+/// # Errors
+///
+/// Only [`QueryError::Internal`], on a searcher invariant breach.
+pub fn tolerate_search(
+    snapshot: &RoutingSnapshot,
+    epoch: &Epoch,
+    bound: u32,
+    extra: usize,
+) -> Result<ToleranceAnswer, QueryError> {
     let claim = ToleranceClaim {
         diameter: bound,
         faults: extra,
@@ -446,7 +462,7 @@ pub fn tolerate(
         &SearchConfig {
             mode: SearchMode::Certify,
             threads: 1,
-            max_visits: None, // the worst case was budget-checked above
+            max_visits: None, // the worst case was budget-checked
             ..SearchConfig::default()
         },
     );
@@ -480,8 +496,7 @@ pub fn tolerate(
 /// structured ERR (naming this estimate) without caching anything.
 /// Pruning may finish far below the estimate but cannot promise to.
 pub fn tolerate_cost(snapshot: &RoutingSnapshot, epoch: &Epoch, extra: usize) -> u64 {
-    let healthy = (snapshot.node_count() - epoch.faults().len()) as u64;
-    sets_to_visit(healthy, extra as u64)
+    ftr_audit::search_space(snapshot.node_count() - epoch.faults().len(), extra)
 }
 
 /// Outcome of an `AUDIT d f` evaluation: a pristine-snapshot audit of
@@ -520,8 +535,7 @@ pub fn audit_claim(
     faults: usize,
     budget: u64,
 ) -> Result<AuditAnswer, QueryError> {
-    let n = snapshot.node_count() as u64;
-    let needed = sets_to_visit(n, faults as u64);
+    let needed = ftr_audit::search_space(snapshot.node_count(), faults);
     if needed > budget {
         return Err(QueryError::AuditBudget { needed, budget });
     }
@@ -564,21 +578,6 @@ pub fn audit_claim(
         // exhaustion; degrade to an ERR rather than panic the shard.
         Verdict::Exhausted => Err(QueryError::Internal("uncapped AUDIT search exhausted")),
     }
-}
-
-/// `1 + C(n, 1) + … + C(n, k)` with saturation: the number of diameter
-/// evaluations a `TOLERATE` with `k` extra faults costs.
-fn sets_to_visit(n: u64, k: u64) -> u64 {
-    let mut total: u64 = 1;
-    let mut level: u64 = 1;
-    for i in 0..k.min(n) {
-        level = match level.checked_mul(n - i) {
-            Some(x) => x / (i + 1),
-            None => return u64::MAX,
-        };
-        total = total.saturating_add(level);
-    }
-    total
 }
 
 /// The current fault set rendered for diagnostics (`-` when empty).
@@ -768,12 +767,71 @@ mod tests {
     }
 
     #[test]
-    fn sets_to_visit_counts_binomials() {
-        assert_eq!(sets_to_visit(10, 0), 1);
-        assert_eq!(sets_to_visit(10, 1), 11);
-        assert_eq!(sets_to_visit(10, 2), 56); // 1 + 10 + 45
-        assert_eq!(sets_to_visit(3, 5), 8); // whole powerset
-        assert_eq!(sets_to_visit(u64::MAX / 2, 3), u64::MAX);
+    fn tolerate_answers_are_the_measuring_searchers() {
+        // (faults, bound, extra) → (found, witness, sets, pruned), recorded
+        // when the searcher still measured every set's diameter. Deciding
+        // `D <= bound` instead must not show: a `no` still carries the
+        // witness's exact diameter, and the same sets were visited.
+        type Row = (
+            &'static [Node],
+            u32,
+            usize,
+            Option<Option<u32>>,
+            &'static [Node],
+            u64,
+            u64,
+        );
+        #[rustfmt::skip]
+        let recorded: [Row; 32] = [
+            (&[], 1, 0, Some(Some(2)), &[], 1, 0),
+            (&[], 2, 0, None, &[], 1, 0),
+            (&[], 3, 0, None, &[], 1, 0),
+            (&[], 4, 0, None, &[], 1, 0),
+            (&[], 1, 1, Some(Some(2)), &[], 1, 0),
+            (&[], 2, 1, None, &[], 11, 0),
+            (&[], 3, 1, None, &[], 11, 0),
+            (&[], 4, 1, None, &[], 11, 0),
+            (&[], 1, 2, Some(Some(2)), &[], 1, 0),
+            (&[], 2, 2, Some(Some(3)), &[2, 6], 4, 0),
+            (&[], 3, 2, None, &[], 56, 0),
+            (&[], 4, 2, None, &[], 56, 0),
+            (&[], 1, 3, Some(Some(2)), &[], 1, 0),
+            (&[], 2, 3, Some(Some(3)), &[2, 3, 6], 4, 0),
+            (&[], 3, 3, Some(None), &[0, 2, 6], 16, 0),
+            (&[], 4, 3, Some(None), &[0, 2, 6], 16, 0),
+            (&[1, 6], 1, 0, Some(Some(2)), &[1, 6], 1, 0),
+            (&[1, 6], 2, 0, None, &[], 1, 0),
+            (&[1, 6], 3, 0, None, &[], 1, 0),
+            (&[1, 6], 4, 0, None, &[], 1, 0),
+            (&[1, 6], 1, 1, Some(Some(2)), &[1, 6], 1, 0),
+            (&[1, 6], 2, 1, Some(Some(3)), &[1, 3, 6], 3, 0),
+            (&[1, 6], 3, 1, None, &[], 9, 0),
+            (&[1, 6], 4, 1, None, &[], 9, 0),
+            (&[1, 6], 1, 2, Some(Some(2)), &[1, 6], 1, 0),
+            (&[1, 6], 2, 2, Some(Some(3)), &[1, 2, 3, 6], 3, 0),
+            (&[1, 6], 3, 2, Some(None), &[1, 3, 6, 7], 11, 0),
+            (&[1, 6], 4, 2, Some(None), &[1, 3, 6, 7], 11, 0),
+            (&[1, 6], 1, 3, Some(Some(2)), &[1, 6], 1, 0),
+            (&[1, 6], 2, 3, Some(Some(3)), &[1, 2, 3, 6], 3, 0),
+            (&[1, 6], 3, 3, Some(Some(4)), &[1, 2, 3, 6, 7], 4, 0),
+            (&[1, 6], 4, 3, Some(None), &[1, 2, 3, 5, 6], 9, 0),
+        ];
+        let (snapshot, store) = fixture();
+        for (faults, bound, extra, found, witness, sets, pruned) in recorded {
+            epoch_with_faults(&snapshot, &store, faults);
+            let a = tolerate(&snapshot, &store.load(), bound, extra, u64::MAX).unwrap();
+            let case = format!("faults {faults:?} TOLERATE {bound} {extra}");
+            assert_eq!((a.holds, a.found), (found.is_none(), found), "{case}");
+            assert_eq!(
+                (&a.witness[..], a.sets, a.pruned),
+                (witness, sets, pruned),
+                "{case}"
+            );
+            if let Some(found) = found {
+                let set = NodeSet::from_nodes(10, witness.iter().copied());
+                assert_eq!(found, snapshot.engine().surviving_diameter(&set), "{case}");
+            }
+        }
     }
 
     #[test]

@@ -8,11 +8,17 @@
 //! thread multiplexes its connections with nonblocking sockets and the
 //! [`crate::poll::PollSet`] readiness shim, frame-decodes whole read
 //! buffers into request *batches*, executes each batch against a single
-//! epoch acquisition (one `Arc` clone and one cache pass per window —
-//! see [`query::route_batch`]), and writes one coalesced reply buffer
-//! back per batch. One extra scoped thread runs the [`Ingestor`];
-//! shared state is only the epoch store, atomic counters and the
-//! static-scheme memos.
+//! epoch acquisition (one `Arc` clone per batch, one cache pass per
+//! reply window — see [`query::route_batch`]), and writes one coalesced
+//! reply buffer back per batch — or, when a batch takes long to
+//! compute, the replies so far at a paced interval, so a pipelining
+//! client never sleeps through a whole batch. After serving, a shard
+//! polls without blocking for a short spell before it sleeps. Both
+//! keep the two ends of a closed loop on their cores: on a shared host
+//! a halted CPU is woken late and cold, by an amount that differs from
+//! one minute to the next. One extra scoped thread runs the
+//! [`Ingestor`]; shared state is only the epoch store, atomic counters
+//! and the static-scheme memos.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -375,6 +381,28 @@ const PLAN_MEMO_CAP: usize = 64;
 /// freshly accepted connections sitting in its inbox.
 const POLL_TIMEOUT_MS: i32 = 10;
 
+/// How long a shard keeps polling without blocking after it last served
+/// a batch. A pipelining client's next burst arrives within its own
+/// turnaround (tens of microseconds); a shard that blocks in `poll(2)`
+/// in that gap halts its CPU, and what the wake-up then costs — and how
+/// fast the core runs just after it — depends on what else the host did
+/// with the core meanwhile. Staying on the core for the gap takes that
+/// out of every burst; an idle shard still sleeps after one such spell.
+const BUSY_POLL: Duration = Duration::from_micros(250);
+
+/// A batch is answered in windows of this many requests: each window is
+/// dispatched and serialized on its own, so its replies can be written
+/// before the rest of the batch is computed (see [`REPLY_PACE`]).
+const REPLY_WINDOW: usize = 32;
+
+/// Replies of a batch still being computed are written at window
+/// boundaries once this long has passed since the batch's last write,
+/// so a pipelining client reads (and stays awake) while the shard works
+/// instead of sleeping through the whole batch and being woken cold. A
+/// batch computed inside it (a hundred-odd cache hits) is still one
+/// write; the clock is read once per window.
+const REPLY_PACE: Duration = Duration::from_micros(20);
+
 /// A connection's unparsed input may grow only this far without a
 /// newline before the connection is dropped as abusive.
 const MAX_LINE_BYTES: usize = 1 << 20;
@@ -441,27 +469,33 @@ impl Conn {
         }
     }
 
-    /// Writes as much of `wbuf` as the socket accepts; on a complete
-    /// flush, a connection pending close (QUIT or EOF) dies.
-    fn flush(&mut self) {
+    /// Writes as much of `wbuf` as the socket accepts; `true` once
+    /// nothing is left to write.
+    fn write_pending(&mut self) -> bool {
         while self.wpos < self.wbuf.len() {
             match self.stream.write(&self.wbuf[self.wpos..]) {
                 Ok(0) => {
                     self.dead = true;
-                    return;
+                    return false;
                 }
                 Ok(n) => self.wpos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     self.dead = true;
-                    return;
+                    return false;
                 }
             }
         }
         self.wbuf.clear();
         self.wpos = 0;
-        if self.quit || self.eof {
+        true
+    }
+
+    /// [`Conn::write_pending`] at the end of a batch: on a complete
+    /// flush, a connection pending close (QUIT or EOF) dies.
+    fn flush(&mut self) {
+        if self.write_pending() && (self.quit || self.eof) {
             self.dead = true;
         }
     }
@@ -533,6 +567,7 @@ impl Shard<'_> {
             plans: self.plans,
             audits: self.audits,
         };
+        let mut served = Instant::now();
         while !self.shutdown.load(Ordering::Acquire) {
             // Adopt freshly accepted connections.
             {
@@ -547,7 +582,12 @@ impl Shard<'_> {
             for conn in &conns {
                 poll.push(&conn.stream, conn.wants_write());
             }
-            if poll.wait(POLL_TIMEOUT_MS) == 0 {
+            let mut ready = poll.wait(0);
+            while ready == 0 && !conns.is_empty() && served.elapsed() < BUSY_POLL {
+                std::hint::spin_loop();
+                ready = poll.wait(0);
+            }
+            if ready == 0 && poll.wait(POLL_TIMEOUT_MS) == 0 {
                 // Idle tick: fold the local accumulators into the shared
                 // registry so scrapes never lag a quiet shard by more
                 // than the poll timeout.
@@ -594,6 +634,7 @@ impl Shard<'_> {
                 }
             }
             conns.retain(|c| !c.dead);
+            served = Instant::now();
         }
         local.flush(self.obs, self.index);
     }
@@ -604,10 +645,12 @@ impl Shard<'_> {
     // `dispatch_slow`, outside this region.)
 
     /// Frame-decodes every complete line buffered on `conn` into one
-    /// request batch, dispatches it against a single epoch acquisition,
-    /// and appends the coalesced replies to the connection's write
-    /// buffer. At EOF a trailing partial line is served as a final
-    /// request (a slow sender's last query is answered, not dropped).
+    /// request batch, dispatches it against a single epoch acquisition
+    /// in windows of [`REPLY_WINDOW`] requests, and appends the replies
+    /// to the connection's write buffer, writing what is buffered every
+    /// [`REPLY_PACE`] while more of the batch is still to compute. At
+    /// EOF a trailing partial line is served as a final request (a slow
+    /// sender's last query is answered, not dropped).
     fn drain_batches(
         shard_index: usize,
         ctx: &DispatchCtx<'_>,
@@ -680,9 +723,6 @@ impl Shard<'_> {
             pairs,
             route,
         } = scratch;
-        replies.clear();
-        jobs.clear();
-        pairs.clear();
         let record = ctx.obs.enabled();
         if record {
             // Per-verb and batch-size accounting stays in the shard's
@@ -708,93 +748,127 @@ impl Shard<'_> {
             }
         }
         let mut errors = 0u64;
-        for (idx, parsed) in requests.iter().enumerate() {
-            let reply = match parsed {
-                Err(reason) => {
-                    errors += 1;
-                    Reply::Owned(format!("ERR {reason}"))
-                }
-                // Malformed queries are rejected *before* the cache
-                // lookup, so an `ERR` reply is never cached and the
-                // cache's key space stays bounded by valid node pairs.
-                Ok(Request::Route { x, y }) => {
-                    match query::validate_route_query(ctx.snapshot, *x, *y) {
-                        Ok(()) => {
-                            jobs.push((idx as u32, *x, *y));
-                            pairs.push((*x, *y));
-                            Reply::Pending
-                        }
-                        Err(e) => {
-                            errors += 1;
-                            Reply::Owned(format!("ERR {e}"))
-                        }
+        // Window by window, so that what is answered can leave while the
+        // rest is computed; a batch that fits one window, or is done
+        // inside `REPLY_PACE`, is a single pass and a single write.
+        let mut written = Instant::now();
+        let mut windows = requests.chunks(REPLY_WINDOW).peekable();
+        while let Some(window) = windows.next() {
+            replies.clear();
+            jobs.clear();
+            pairs.clear();
+            for (idx, parsed) in window.iter().enumerate() {
+                let reply = match parsed {
+                    Err(reason) => {
+                        errors += 1;
+                        Reply::Owned(format!("ERR {reason}"))
                     }
-                }
-                Ok(request) => {
-                    // TOLERATE/AUDIT/PLAN are the verbs whose server-side
-                    // latency earns a distribution; the rest are O(1)
-                    // renders not worth two clock reads each.
-                    let slot = match request {
-                        Request::Tolerate { .. } => Some(LAT_TOLERATE),
-                        Request::Audit { .. } => Some(LAT_AUDIT),
-                        Request::Plan { .. } => Some(LAT_PLAN),
-                        _ => None,
-                    };
-                    match slot.filter(|_| record) {
-                        Some(slot) => {
-                            let span = spans_on.then(|| local.recorder.start(LAT_VERBS[slot]));
-                            let start = Instant::now();
-                            let reply = ctx.dispatch_slow(*request, &epoch, &mut errors);
-                            local.latency[slot].record(start.elapsed().as_nanos() as u64);
-                            if let Some(span) = span {
-                                local.recorder.end(span);
+                    // Malformed queries are rejected *before* the cache
+                    // lookup, so an `ERR` reply is never cached and the
+                    // cache's key space stays bounded by valid node pairs.
+                    Ok(Request::Route { x, y }) => {
+                        match query::validate_route_query(ctx.snapshot, *x, *y) {
+                            Ok(()) => {
+                                jobs.push((idx as u32, *x, *y));
+                                pairs.push((*x, *y));
+                                Reply::Pending
                             }
-                            reply
+                            Err(e) => {
+                                errors += 1;
+                                Reply::Owned(format!("ERR {e}"))
+                            }
                         }
-                        None => ctx.dispatch_slow(*request, &epoch, &mut errors),
                     }
-                }
-            };
-            replies.push(reply);
-        }
-        if !pairs.is_empty() {
-            let mut hits = 0u64;
-            let start = record.then(Instant::now);
-            // The cache span covers the whole batched lookup; misses
-            // that fall through to the engine report their first/last
-            // compute window, recorded as a child "engine" span.
-            let cache_span = spans_on.then(|| local.recorder.start("cache"));
-            let mut window = query::EngineWindow::default();
-            query::route_batch_with(
-                ctx.snapshot,
-                &epoch,
-                pairs,
-                route,
-                spans_on.then_some(&mut window),
-                |j, value, hit| {
-                    hits += u64::from(hit);
-                    replies[jobs[j].0 as usize] = Reply::Shared(value);
-                },
-            );
-            if window.active() {
-                local
-                    .recorder
-                    .record_window("engine", window.start_nanos, window.end_nanos);
+                    Ok(request) => {
+                        // TOLERATE/AUDIT/PLAN are the verbs whose server-side
+                        // latency earns a distribution; the rest are O(1)
+                        // renders not worth two clock reads each.
+                        let slot = match request {
+                            Request::Tolerate { .. } => Some(LAT_TOLERATE),
+                            Request::Audit { .. } => Some(LAT_AUDIT),
+                            Request::Plan { .. } => Some(LAT_PLAN),
+                            _ => None,
+                        };
+                        match slot.filter(|_| record) {
+                            Some(slot) => {
+                                let span = spans_on.then(|| local.recorder.start(LAT_VERBS[slot]));
+                                let start = Instant::now();
+                                let reply = ctx.dispatch_slow(*request, &epoch, &mut errors);
+                                local.latency[slot].record(start.elapsed().as_nanos() as u64);
+                                if let Some(span) = span {
+                                    local.recorder.end(span);
+                                }
+                                reply
+                            }
+                            None => ctx.dispatch_slow(*request, &epoch, &mut errors),
+                        }
+                    }
+                };
+                replies.push(reply);
             }
-            if let Some(span) = cache_span {
+            if !pairs.is_empty() {
+                let mut hits = 0u64;
+                let start = record.then(Instant::now);
+                // The cache span covers the whole batched lookup; misses
+                // that fall through to the engine report their first/last
+                // compute window, recorded as a child "engine" span.
+                let cache_span = spans_on.then(|| local.recorder.start("cache"));
+                let mut window = query::EngineWindow::default();
+                query::route_batch_with(
+                    ctx.snapshot,
+                    &epoch,
+                    pairs,
+                    route,
+                    spans_on.then_some(&mut window),
+                    |j, value, hit| {
+                        hits += u64::from(hit);
+                        replies[jobs[j].0 as usize] = Reply::Shared(value);
+                    },
+                );
+                if window.active() {
+                    local
+                        .recorder
+                        .record_window("engine", window.start_nanos, window.end_nanos);
+                }
+                if let Some(span) = cache_span {
+                    local.recorder.end(span);
+                }
+                if let Some(start) = start {
+                    // Batch-attributed ROUTE latency, mirroring the load
+                    // generator's accounting: every query in the batch
+                    // records the batch's compute time.
+                    local.latency[LAT_ROUTE]
+                        .record_n(start.elapsed().as_nanos() as u64, pairs.len() as u64);
+                    local.hits += hits;
+                    local.misses += pairs.len() as u64 - hits;
+                }
+                if hits > 0 {
+                    ctx.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
+                }
+            }
+            let serialize_span = spans_on.then(|| local.recorder.start("serialize"));
+            for reply in replies.iter() {
+                match reply {
+                    Reply::Shared(s) => conn.wbuf.extend_from_slice(s.as_bytes()),
+                    Reply::Owned(s) => conn.wbuf.extend_from_slice(s.as_bytes()),
+                    // The route batch fills every pending slot; a hole would
+                    // be a bug, answered as an ERR line rather than a panic.
+                    Reply::Pending => conn
+                        .wbuf
+                        .extend_from_slice(b"ERR internal: unresolved batch reply"),
+                }
+                conn.wbuf.push(b'\n');
+            }
+            if let Some(span) = serialize_span {
                 local.recorder.end(span);
             }
-            if let Some(start) = start {
-                // Batch-attributed ROUTE latency, mirroring the load
-                // generator's accounting: every query in the batch
-                // records the batch's compute time.
-                local.latency[LAT_ROUTE]
-                    .record_n(start.elapsed().as_nanos() as u64, pairs.len() as u64);
-                local.hits += hits;
-                local.misses += pairs.len() as u64 - hits;
-            }
-            if hits > 0 {
-                ctx.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
+            if windows.peek().is_some() && written.elapsed() >= REPLY_PACE {
+                let span = spans_on.then(|| local.recorder.start("write"));
+                conn.write_pending();
+                if let Some(span) = span {
+                    local.recorder.end(span);
+                }
+                written = Instant::now();
             }
         }
         if errors > 0 {
@@ -804,22 +878,6 @@ impl Shard<'_> {
         }
         if local.batches >= FLUSH_EVERY {
             local.flush(ctx.obs, shard_index);
-        }
-        let serialize_span = spans_on.then(|| local.recorder.start("serialize"));
-        for reply in replies.iter() {
-            match reply {
-                Reply::Shared(s) => conn.wbuf.extend_from_slice(s.as_bytes()),
-                Reply::Owned(s) => conn.wbuf.extend_from_slice(s.as_bytes()),
-                // The route batch fills every pending slot; a hole would
-                // be a bug, answered as an ERR line rather than a panic.
-                Reply::Pending => conn
-                    .wbuf
-                    .extend_from_slice(b"ERR internal: unresolved batch reply"),
-            }
-            conn.wbuf.push(b'\n');
-        }
-        if let Some(span) = serialize_span {
-            local.recorder.end(span);
         }
         // The root "batch" span stays open: the caller closes it around
         // the coalesced socket write via `LocalObs::seal_batch`.
@@ -915,13 +973,12 @@ impl DispatchCtx<'_> {
                     let mut searched = None;
                     let (reply, hit) = epoch.cache().get_or_insert_with(
                         QueryKey::Tolerate(diameter, faults),
-                        || match query::tolerate(self.snapshot, epoch, diameter, faults, budget) {
+                        || match query::tolerate_search(self.snapshot, epoch, diameter, faults) {
                             Ok(a) => {
                                 searched = Some((a.sets, a.pruned, a.wall_nanos));
                                 render_tolerate(&a)
                             }
-                            // Unreachable (the budget was checked with
-                            // the same inputs above); kept as a visible
+                            // A searcher invariant breach: a visible
                             // ERR, never a silent wrong answer.
                             Err(e) => format!("ERR {e}"),
                         },

@@ -180,6 +180,59 @@ fn pipelined_queries_answer_in_order() {
     server.shutdown_and_join().unwrap();
 }
 
+/// A batch that takes milliseconds to compute is written in paced
+/// pieces while it is computed. The pieces must add up to every reply,
+/// in order, and a `QUIT` (or EOF) decoded at the end of the batch must
+/// close the connection after the last piece, not after the first.
+#[test]
+fn a_long_batch_is_answered_whole_and_in_order_before_the_close() {
+    use std::io::{Read, Write};
+    let g = gen::harary(6, 128).unwrap();
+    let kernel = KernelRouting::build(&g).unwrap();
+    let snapshot = RoutingSnapshot::new(g, kernel.routing().clone()).unwrap();
+    let server = Server::bind(snapshot.into_shared(), ServerConfig::default())
+        .unwrap()
+        .spawn();
+    // Distinct pairs: every ROUTE is a miss, ~1 µs each, so the batch
+    // outlasts the pacing interval a hundred times over.
+    let pairs: Vec<(u32, u32)> = (0..128u32)
+        .flat_map(|x| (1..=32u32).map(move |d| (x, (x + d) % 128)))
+        .collect();
+    for (tail, slow) in [("QUIT\n", "TOLERATE 8 2\n"), ("", "TOLERATE 9 2\n")] {
+        let mut text: String = pairs
+            .iter()
+            .map(|(x, y)| format!("ROUTE {x} {y}\n"))
+            .collect();
+        text.push_str(tail);
+        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        // A search of 8,257 fault sets (a fresh claim each time: the
+        // epoch caches the answer) keeps the shard away from the socket
+        // for milliseconds, so everything written meanwhile is decoded
+        // as one batch, the close at its end.
+        stream.write_all(slow.as_bytes()).unwrap();
+        std::thread::sleep(Duration::from_millis(1));
+        stream.write_all(text.as_bytes()).unwrap();
+        if tail.is_empty() {
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+        }
+        let mut got = String::new();
+        stream.read_to_string(&mut got).unwrap();
+        let mut lines = got.lines();
+        let searched = lines.next().unwrap_or_default();
+        assert!(searched.starts_with("OK TOLERATE"), "{searched}");
+        for (x, y) in &pairs {
+            let reply = lines.next().unwrap_or("<connection closed early>");
+            let nodes: Vec<&str> = reply.split(' ').skip(2).collect();
+            assert!(reply.starts_with("OK D"), "ROUTE {x} {y} -> {reply}");
+            assert_eq!(nodes.first(), Some(&x.to_string().as_str()), "{reply}");
+            assert_eq!(nodes.last(), Some(&y.to_string().as_str()), "{reply}");
+        }
+        assert_eq!(lines.next(), (!tail.is_empty()).then_some("OK BYE"));
+        assert_eq!(lines.next(), None);
+    }
+    server.shutdown_and_join().unwrap();
+}
+
 #[test]
 fn concurrent_clients_and_churn_stay_consistent() {
     let (server, snapshot) = start_petersen_server();
