@@ -41,6 +41,21 @@
 //!   result beyond that yes/no, so `visited`, `prune_tests`, `pruned_*`,
 //!   verdicts, witnesses and certificates are what measuring every set
 //!   would give (`tests/identity.rs` pins them).
+//! * **Sibling lanes.** The sets `S ∪ {v}` a DFS node walks share the
+//!   parent `S`, so before the walk one lane pass per node word
+//!   ([`EpochState::extensions_within`]: one BFS from the hub and one to
+//!   it, a bit per set) accepts every sibling the hub bound accepts.
+//!   Sound because an accepted set's diameter is within the limit the
+//!   mask was taken under, and the limit never falls along the walk
+//!   (the claim's `d`, or a worst-mode incumbent that only grows), so
+//!   the scalar decision would have said yes too; the rest — the hub's
+//!   own set, the lanes the bound leaves open, and words with fewer than
+//!   `MIN_LANES` siblings — are decided one by one as before. An
+//!   accepted leaf is counted without an `insert`, a decision or a
+//!   `remove`; an accepted interior set is still toggled, because its
+//!   children need its kill counts, but is not decided. The walk keeps
+//!   its order, so keys, `visited`, the cap, the stop flag and every
+//!   report field are unchanged.
 //!
 //! Every searched set is accounted for: `visited + pruned_sets` must
 //! equal the whole space `Σ_{k<=f} C(m, k)` for a holds verdict — the
@@ -295,6 +310,16 @@ struct Local {
     /// The prune test's bitsets: endpoints, relays, visited, frontier,
     /// next.
     sets: [Vec<u64>; 5],
+    /// Per remaining budget `b` (row `b`, `stride` words): the sibling
+    /// sets of the group being walked at that depth that the lane
+    /// decision accepted.
+    lanes: Vec<u64>,
+    tally: Tally,
+}
+
+/// What one worker (or the root's base evaluation) counted and found.
+#[derive(Default)]
+struct Tally {
     visited: u64,
     prune_tests: u64,
     pruned_subtrees: u64,
@@ -316,22 +341,32 @@ impl Local {
                 f
             },
         };
+        let best = &mut self.tally.best;
         match ctx.mode {
             SearchMode::Worst => {
                 let cand = found();
-                if self.best.as_ref().is_none_or(|b| cand.beats(b)) {
-                    self.best = Some(cand);
+                if best.as_ref().is_none_or(|b| cand.beats(b)) {
+                    *best = Some(cand);
                 }
             }
             SearchMode::Certify => {
-                if self.best.is_none() {
+                if best.is_none() {
                     let cand = found();
                     if cand.violates(&ctx.claim) {
-                        self.best = Some(cand);
+                        *best = Some(cand);
                         ctx.stop.store(true, Ordering::Relaxed);
                     }
                 }
             }
+        }
+    }
+
+    /// Counts one visited set against the cap.
+    fn visit(&mut self, ctx: &Ctx<'_>) {
+        self.tally.visited += 1;
+        if ctx.evals.fetch_add(1, Ordering::Relaxed) + 1 > ctx.cap {
+            self.tally.exhausted = true;
+            ctx.stop.store(true, Ordering::Relaxed);
         }
     }
 
@@ -340,11 +375,7 @@ impl Local {
     /// only if it does not — `None` always measures. Returns the diameter
     /// where it matters, i.e. raised to `bound` when below it.
     fn eval(&mut self, ctx: &Ctx<'_>, key: u64, bound: Option<u32>) -> Option<u32> {
-        self.visited += 1;
-        if ctx.evals.fetch_add(1, Ordering::Relaxed) + 1 > ctx.cap {
-            self.exhausted = true;
-            ctx.stop.store(true, Ordering::Relaxed);
-        }
+        self.visit(ctx);
         if bound.is_some_and(|b| self.state.diameter_within(ctx.engine, b)) {
             return bound;
         }
@@ -387,23 +418,32 @@ pub fn audit(
     let stride = n.div_ceil(64);
 
     // ---- adversarial seeding: core nodes first, then impact ----------
+    // The engine keeps every node in impact order; a stable partition
+    // puts the core in front without re-sorting. A zero budget visits
+    // the base alone and needs no order at all.
     let mut is_core = vec![false; n];
     for &v in core_nodes {
         assert!((v as usize) < n, "core node {v} out of range");
         is_core[v as usize] = true;
     }
-    let mut order: Vec<Node> = (0..n as Node).filter(|&v| !base.contains(v)).collect();
-    let core_seeds = order.iter().filter(|&&v| is_core[v as usize]).count();
-    order.sort_by_key(|&v| {
-        (
-            !is_core[v as usize],
-            std::cmp::Reverse(engine.routes_through(v)),
-            v,
-        )
-    });
-    let m = order.len();
+    let core_seeds = (0..n as Node)
+        .filter(|&v| is_core[v as usize] && !base.contains(v))
+        .count();
+    let m = n - base.len();
     let f = claim.faults.min(m);
     let space = search_space(m, f);
+    let order: Vec<Node> = if f == 0 {
+        Vec::new()
+    } else {
+        let (mut order, rest): (Vec<Node>, Vec<Node>) = engine
+            .impact_order()
+            .iter()
+            .copied()
+            .filter(|&v| !base.contains(v))
+            .partition(|&v| is_core[v as usize]);
+        order.extend(rest);
+        order
+    };
 
     // ---- prune-test precomputation -----------------------------------
     // Only subtrees of at least `min_prune_subtree` sets are tested, and
@@ -458,6 +498,7 @@ pub fn audit(
     // Measured in worst mode, where it seeds every subtree's incumbent.
     let mut root = Local::new(&ctx, base);
     let base_diam = root.eval(&ctx, 0, ctx.limit(None));
+    let root_tally = std::mem::take(&mut root.tally);
     let base_found = Found {
         diameter: base_diam,
         key: 0,
@@ -473,33 +514,41 @@ pub fn audit(
     // certify violation, a worst-mode disconnection (maximal badness at
     // the smallest key), a spent cap, or a zero budget.
     let settled = f == 0
-        || root.exhausted
-        || (ctx.mode == SearchMode::Certify && root.best.is_some())
+        || root_tally.exhausted
+        || (ctx.mode == SearchMode::Certify && root_tally.best.is_some())
         || (ctx.mode == SearchMode::Worst && base_diam.is_none());
     let locals = if settled {
         Vec::new()
     } else {
+        // The first-fault sets share the base as their parent, so one
+        // lane pass per node word decides them all. The first worker to
+        // start takes over the root's state (the base is inserted once
+        // per search on one thread); its counters were set apart above.
+        let mut top = vec![0u64; stride];
+        sibling_accepts(&root.state, &ctx, 0, ctx.limit(base_diam), &mut top);
+        let spare = std::sync::Mutex::new(Some(root));
         par::map_workers(m, config.threads, |next| {
-            let mut local = Local::new(&ctx, base);
+            let reused = spare.lock().ok().and_then(|mut spare| spare.take());
+            let mut local = reused.unwrap_or_else(|| Local::new(&ctx, base));
             while let Some(i) = next() {
                 if ctx.stop.load(Ordering::Relaxed) {
                     break;
                 }
-                local.explore_subtree(&ctx, i, f, base_diam);
+                local.explore_subtree(&ctx, &top, i, f, base_diam);
             }
-            local
+            local.tally
         })
     };
 
     // ---- merge --------------------------------------------------------
-    let mut visited = root.visited;
-    let mut prune_tests = root.prune_tests;
-    let mut pruned_subtrees = root.pruned_subtrees;
-    let mut pruned_sets = root.pruned_sets;
-    let mut exhausted = root.exhausted;
+    let mut visited = root_tally.visited;
+    let mut prune_tests = root_tally.prune_tests;
+    let mut pruned_subtrees = root_tally.pruned_subtrees;
+    let mut pruned_sets = root_tally.pruned_sets;
+    let mut exhausted = root_tally.exhausted;
     let mut best = match ctx.mode {
         SearchMode::Worst => Some(base_found.clone()),
-        SearchMode::Certify => root.best.clone(),
+        SearchMode::Certify => root_tally.best,
     };
     for local in locals {
         visited = visited.saturating_add(local.visited);
@@ -597,12 +646,8 @@ impl Local {
             state,
             h: BitMatrix::new(ctx.h_nodes),
             sets: std::array::from_fn(|_| vec![0; ctx.h_nodes.div_ceil(64)]),
-            visited: 0,
-            prune_tests: 0,
-            pruned_subtrees: 0,
-            pruned_sets: 0,
-            best: None,
-            exhausted: false,
+            lanes: vec![0; ctx.claim.faults.min(ctx.order.len()) * ctx.stride],
+            tally: Tally::default(),
         }
     }
 
@@ -610,7 +655,15 @@ impl Local {
     /// (extensions drawn from `order[i + 1..]`). Each subtree carries
     /// its own worst-mode incumbent seeded from the base diameter, so
     /// exploration is identical however subtrees land on workers.
-    fn explore_subtree(&mut self, ctx: &Ctx<'_>, i: usize, f: usize, base_diam: Option<u32>) {
+    /// `top` holds the first-fault sets the lane decision accepted.
+    fn explore_subtree(
+        &mut self,
+        ctx: &Ctx<'_>,
+        top: &[u64],
+        i: usize,
+        f: usize,
+        base_diam: Option<u32>,
+    ) {
         let m = ctx.order.len();
         // Whole-subtree prune: if no fault set drawn from `order[i..]`
         // can beat the limit, every set whose *first* (highest-impact)
@@ -622,24 +675,37 @@ impl Local {
         let limit = ctx.limit(base_diam);
         if subtree >= ctx.min_prune_subtree {
             if let Some(limit) = limit {
-                self.prune_tests += 1;
+                self.tally.prune_tests += 1;
                 if self.extensions_stay_within(ctx, i, limit) {
-                    self.pruned_subtrees += 1;
-                    self.pruned_sets = self.pruned_sets.saturating_add(subtree);
+                    self.tally.pruned_subtrees += 1;
+                    self.tally.pruned_sets = self.tally.pruned_sets.saturating_add(subtree);
                     return;
                 }
             }
         }
         let first = ctx.order[i];
         let mut key = (i as u64 + 1) << 40;
+        let accepted = has(top, first);
+        if accepted && f == 1 {
+            self.visit(ctx);
+            return;
+        }
         self.state.insert(ctx.engine, first);
-        let d = self.eval(ctx, key, limit);
+        let d = if accepted {
+            self.visit(ctx);
+            limit
+        } else {
+            self.eval(ctx, key, limit)
+        };
         let mut incumbent = match (base_diam, d) {
             (Some(a), Some(b)) => Some(a.max(b)),
             _ => None,
         };
         let disconnected = d.is_none();
-        if f >= 2 && !disconnected && !(ctx.mode == SearchMode::Certify && self.best.is_some()) {
+        if f >= 2
+            && !disconnected
+            && !(ctx.mode == SearchMode::Certify && self.tally.best.is_some())
+        {
             self.descend(ctx, i + 1, f - 1, &mut key, &mut incumbent);
         }
         self.state.remove(ctx.engine, first);
@@ -669,41 +735,61 @@ impl Local {
         }
         if subtree >= ctx.min_prune_subtree {
             if let Some(limit) = ctx.limit(*incumbent) {
-                self.prune_tests += 1;
+                self.tally.prune_tests += 1;
                 if self.extensions_stay_within(ctx, from, limit) {
-                    self.pruned_subtrees += 1;
-                    self.pruned_sets = self.pruned_sets.saturating_add(subtree);
+                    self.tally.pruned_subtrees += 1;
+                    self.tally.pruned_sets = self.tally.pruned_sets.saturating_add(subtree);
                     *key = key.saturating_add(subtree);
                     return false;
                 }
             }
         }
+        // The limit only grows along the walk below, so a sibling the
+        // lanes accept now is within whatever limit it is visited under.
+        let row = budget * ctx.stride..(budget + 1) * ctx.stride;
+        sibling_accepts(
+            &self.state,
+            ctx,
+            from,
+            ctx.limit(*incumbent),
+            &mut self.lanes[row.clone()],
+        );
         for i in from..m {
             if ctx.stop.load(Ordering::Relaxed) {
                 return false;
             }
             let v = ctx.order[i];
-            self.state.insert(ctx.engine, v);
             *key += 1;
-            let d = self.eval(ctx, *key, ctx.limit(*incumbent));
-            if ctx.mode == SearchMode::Certify && self.best.is_some() {
-                self.state.remove(ctx.engine, v);
-                return false;
+            let limit = ctx.limit(*incumbent);
+            let accepted = has(&self.lanes[row.clone()], v);
+            if accepted && budget == 1 {
+                self.visit(ctx);
+                continue;
             }
-            if d.is_none() {
+            self.state.insert(ctx.engine, v);
+            let d = if accepted {
+                self.visit(ctx);
+                limit
+            } else {
+                self.eval(ctx, *key, limit)
+            };
+            let found = if ctx.mode == SearchMode::Certify && self.tally.best.is_some() {
+                Some(false)
+            } else if d.is_none() {
                 // Disconnected: maximal badness, and DFS order means the
                 // first one found carries the subtree's smallest key.
-                self.state.remove(ctx.engine, v);
-                return true;
-            }
-            if let (Some(cur), Some(inc)) = (d, incumbent.as_mut()) {
-                *inc = (*inc).max(cur);
-            }
-            if budget >= 2 && self.descend(ctx, i + 1, budget - 1, key, incumbent) {
-                self.state.remove(ctx.engine, v);
-                return true;
-            }
+                Some(true)
+            } else {
+                if let (Some(cur), Some(inc)) = (d, incumbent.as_mut()) {
+                    *inc = (*inc).max(cur);
+                }
+                (budget >= 2 && self.descend(ctx, i + 1, budget - 1, key, incumbent))
+                    .then_some(true)
+            };
             self.state.remove(ctx.engine, v);
+            if let Some(found) = found {
+                return found;
+            }
         }
         false
     }
@@ -798,6 +884,54 @@ impl Local {
         }
         true
     }
+}
+
+/// Whether node `v` is in the word bitset `set`.
+fn has(set: &[u64], v: Node) -> bool {
+    set[v as usize / 64] & (1u64 << (v % 64)) != 0
+}
+
+/// How many sibling sets one node word must hold before a lane pass
+/// pays for itself; see [`sibling_accepts`].
+///
+/// A pass reads one mask word per live route and scans each live arc
+/// once per BFS level each way; a scalar set toggles the routes through
+/// its node twice and ORs or tests about `2n` matrix rows. Counted on
+/// the registry's kernel tables under one fault at bound 8, a pass is
+/// 1,462 / 11,045 / 14,168 / 57,176 lane words at n = 24 / 128 / 256 /
+/// 1024 against 79 / 1,000 / 4,005 / 53,012 row and slot words per
+/// scalar set; a lane word is a scattered read-modify-write and a row
+/// word a streamed OR, so in time a pass costs what 3.4–5.4 scalar sets
+/// do. Eight siblings clear that at every size; below it the words are
+/// decided one set at a time.
+const MIN_LANES: u32 = 8;
+
+/// Fills `out` (a `stride`-word node bitset) with the sibling sets
+/// `S ∪ {order[i]}`, `i >= from`, of the current set `S` that the lane
+/// decision ([`EpochState::extensions_within`]) accepts under `limit`:
+/// each is within the limit, so it needs no decision of its own (and,
+/// as a leaf, no toggle). A word with fewer than [`MIN_LANES`] siblings
+/// is left clear and its sets are decided one by one.
+fn sibling_accepts(
+    state: &EpochState,
+    ctx: &Ctx<'_>,
+    from: usize,
+    limit: Option<u32>,
+    out: &mut [u64],
+) {
+    out.fill(0);
+    let Some(limit) = limit else {
+        return;
+    };
+    for &v in &ctx.order[from..] {
+        out[v as usize / 64] |= 1u64 << (v % 64);
+    }
+    for word in out.iter_mut() {
+        if word.count_ones() < MIN_LANES {
+            *word = 0;
+        }
+    }
+    state.extensions_within(ctx.engine, limit, out);
 }
 
 /// `visited ⊇ targets`, word-wise.

@@ -10,8 +10,8 @@
 //! * every route slot stores its **interior fault mask** (a bitset of
 //!   the nodes whose failure kills the route — endpoints are handled by
 //!   the alive-mask of the BFS, since a faulty endpoint removes the node
-//!   itself), so "does fault set `F` kill this route" is one
-//!   [`NodeSet::intersects`] word scan;
+//!   itself), so "does fault set `F` kill this route" reads one mask
+//!   word per word of `F` that holds a fault;
 //! * an **inverted index** `node → route slots through it` lets the
 //!   incremental [`FaultCursor`] maintain per-slot kill counts under
 //!   single-fault toggles, touching only the routes through the toggled
@@ -21,7 +21,23 @@
 //!   all-pairs diameter is measured by row-OR frontier expansion — or,
 //!   when only `diameter <= d` is asked ([`EpochState::diameter_within`]),
 //!   decided from two BFS passes around a hub node picked at compile
-//!   time from the fault-free graph's highest-degree nodes.
+//!   time from the fault-free graph's highest-degree nodes;
+//! * the one-fault extensions `F ∪ {v}` of a state are decided **64 at a
+//!   time** ([`EpochState::extensions_within`], after Then et al.'s
+//!   multi-source BFS, "The More the Merrier", VLDB 2014): lane `k` of a
+//!   `u64` per node stands for `v = 64w + k`, an arc is live in the
+//!   lanes whose node avoids the interior of one of its pair's live
+//!   routes (masks are stored word-major, so that is one contiguous
+//!   column read, one word per live slot), and one push BFS from the hub
+//!   and one pull BFS to it run over the live arcs, indexed by source
+//!   and by destination at compile time. A lane is accepted when it
+//!   reaches and is reached by every survivor with
+//!   `ecc_in + ecc_out <= d` — the hub and the triangle-inequality bound
+//!   of [`BitMatrix::diameter_within`], so every accepted set is within
+//!   `d` and every set that bound accepts from the hub alone is
+//!   accepted. The hub's own set and the lanes left open go to the
+//!   scalar decision. Deciding an accepted set takes no toggle: its
+//!   answer comes from its parent's kill counts and the masks alone.
 //!
 //! The route-walk path remains the reference implementation; an
 //! equivalence property test (`tests/engine_equivalence.rs`) checks the
@@ -112,7 +128,9 @@ pub struct CompiledRoutes {
     /// Prefix offsets into the slot arrays, one entry per pair plus a
     /// trailing total: pair `p` owns slots `pair_slots[p]..pair_slots[p+1]`.
     pair_slots: Vec<u32>,
-    /// Interior fault masks, `stride` words per slot.
+    /// Interior fault masks, word-major: word `w` of slot `slot`'s mask
+    /// (nodes `64w..64w + 64`) is `masks[w * slot_count + slot]`, so the
+    /// lane decision reads one contiguous column per node word.
     masks: Vec<u64>,
     /// Owning pair of each slot.
     slot_pair: Vec<u32>,
@@ -129,6 +147,17 @@ pub struct CompiledRoutes {
     /// pays a degree scan, and more of them than the fault sets a search
     /// visits have members, so one is always alive.
     hubs: Vec<Node>,
+    /// Prefix offsets into `pairs` by source, one entry per node plus a
+    /// trailing total: the out-arcs of `s` are pairs
+    /// `src_off[s]..src_off[s + 1]` (`pairs` is sorted by source).
+    src_off: Vec<u32>,
+    /// The same pairs by destination: the in-arcs of `d` are pairs
+    /// `by_dst[dst_off[d]..dst_off[d + 1]]`.
+    dst_off: Vec<u32>,
+    by_dst: Vec<u32>,
+    /// Every node by descending [`CompiledRoutes::routes_through`], ties
+    /// to the smaller id.
+    impact: Vec<Node>,
 }
 
 /// How many hub candidates an engine keeps.
@@ -145,7 +174,11 @@ impl CompiledRoutes {
     /// `(src, dst)` order in both the builder and frozen states, so the
     /// compilation is deterministic without a sort here.
     pub fn from_routing(routing: &Routing) -> Self {
-        let mut b = MaskBuilder::new(routing.node_count(), routing.route_count());
+        let mut b = MaskBuilder::new(
+            routing.node_count(),
+            routing.route_count(),
+            routing.route_count(),
+        );
         let mut prev: Option<(Node, Node)> = None;
         for (s, d, view) in routing.routes() {
             debug_assert!(prev < Some((s, d)), "routes() iterates in sorted order");
@@ -164,7 +197,8 @@ impl CompiledRoutes {
         let mut collected: Vec<(Node, Node, Vec<crate::RouteView<'_>>)> =
             multi.route_bundles().collect();
         collected.sort_unstable_by_key(|&(s, d, _)| (s, d));
-        let mut b = MaskBuilder::new(n, collected.len());
+        let slots = collected.iter().map(|(_, _, views)| views.len()).sum();
+        let mut b = MaskBuilder::new(n, collected.len(), slots);
         for (s, d, views) in collected {
             b.begin_pair(s, d);
             for view in views {
@@ -185,24 +219,46 @@ impl CompiledRoutes {
             base,
             ..
         } = parts;
+        let slots = slot_pair.len();
+        assert_eq!(
+            masks.len(),
+            slots * stride,
+            "every reserved slot was pushed"
+        );
         // Inverted index by counting sort: node -> slots through it.
         let mut counts = vec![0u32; n + 1];
-        for slot in 0..slot_pair.len() {
-            for v in Self::mask_nodes(&masks[slot * stride..(slot + 1) * stride]) {
-                counts[v as usize] += 1;
-            }
+        for (_, v) in Self::interior_entries(&masks, slots) {
+            counts[v as usize] += 1;
         }
         let mut index_off = vec![0u32; n + 1];
         for v in 0..n {
             index_off[v + 1] = index_off[v] + counts[v];
         }
+        let mut impact: Vec<Node> = (0..n as Node).collect();
+        impact.sort_unstable_by_key(|&v| (std::cmp::Reverse(counts[v as usize]), v));
+        let mut src_off = vec![0u32; n + 1];
+        let mut dst_off = vec![0u32; n + 1];
+        for &(s, d) in &pairs {
+            src_off[s as usize + 1] += 1;
+            dst_off[d as usize + 1] += 1;
+        }
+        for v in 0..n {
+            src_off[v + 1] += src_off[v];
+            dst_off[v + 1] += dst_off[v];
+        }
+        let mut cursor = dst_off.clone();
+        let mut by_dst = vec![0u32; pairs.len()];
+        for (p, &(_, d)) in pairs.iter().enumerate() {
+            by_dst[cursor[d as usize] as usize] = p as u32;
+            cursor[d as usize] += 1;
+        }
+        // A node's slots are met in ascending order: they all sit in
+        // the node's own column.
         let mut cursor = index_off.clone();
         let mut index = vec![0u32; index_off[n] as usize];
-        for slot in 0..slot_pair.len() {
-            for v in Self::mask_nodes(&masks[slot * stride..(slot + 1) * stride]) {
-                index[cursor[v as usize] as usize] = slot as u32;
-                cursor[v as usize] += 1;
-            }
+        for (slot, v) in Self::interior_entries(&masks, slots) {
+            index[cursor[v as usize] as usize] = slot as u32;
+            cursor[v as usize] += 1;
         }
 
         static BUILD_IDS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -218,17 +274,28 @@ impl CompiledRoutes {
             index,
             hubs: base.hub_candidates(HUB_CANDIDATES),
             base,
+            src_off,
+            dst_off,
+            by_dst,
+            impact,
         }
     }
 
-    fn mask_nodes(mask: &[u64]) -> impl Iterator<Item = Node> + '_ {
-        mask.iter().enumerate().flat_map(|(wi, &w)| {
-            std::iter::successors((w != 0).then_some(w), |&bits| {
-                let rest = bits & (bits - 1);
-                (rest != 0).then_some(rest)
+    /// Every `(slot, interior node)` of word-major `masks`, column by
+    /// column.
+    fn interior_entries(masks: &[u64], slots: usize) -> impl Iterator<Item = (usize, Node)> + '_ {
+        masks
+            .chunks(slots.max(1))
+            .enumerate()
+            .flat_map(move |(wi, column)| {
+                column.iter().enumerate().flat_map(move |(slot, &w)| {
+                    std::iter::successors((w != 0).then_some(w), |&bits| {
+                        let rest = bits & (bits - 1);
+                        (rest != 0).then_some(rest)
+                    })
+                    .map(move |bits| (slot, (wi * 64) as Node + bits.trailing_zeros()))
+                })
             })
-            .map(move |bits| (wi * 64) as Node + bits.trailing_zeros())
-        })
     }
 
     /// Number of routed ordered pairs.
@@ -261,6 +328,20 @@ impl CompiledRoutes {
         self.slots_through(v).len()
     }
 
+    /// Every node by descending [`CompiledRoutes::routes_through`], ties
+    /// to the smaller id — the audit searcher's candidate order, sorted
+    /// once here rather than per search.
+    pub fn impact_order(&self) -> &[Node] {
+        &self.impact
+    }
+
+    /// The hub candidates [`EpochState::diameter_within`] and
+    /// [`EpochState::extensions_within`] pick from, best first: the
+    /// highest-out-degree nodes of the fault-free route graph.
+    pub fn hubs(&self) -> &[Node] {
+        &self.hubs
+    }
+
     /// The route slots whose interior contains `v` — the inverted-index
     /// row [`EpochState::insert`] walks, and what the audit searcher
     /// builds its prune tables from.
@@ -276,13 +357,13 @@ impl CompiledRoutes {
     }
 
     /// Returns `true` if the slot's route avoids every faulty node —
-    /// one word-level scan of its interior mask (the same primitive as
-    /// [`NodeSet::intersects`]).
+    /// one mask word read per word of the fault set that holds a fault.
     fn slot_survives(&self, slot: usize, fault_words: &[u64]) -> bool {
-        !ftr_graph::words_intersect(
-            &self.masks[slot * self.stride..(slot + 1) * self.stride],
-            fault_words,
-        )
+        let slots = self.slot_count();
+        fault_words
+            .iter()
+            .enumerate()
+            .all(|(w, &f)| f == 0 || f & self.masks[w * slots + slot] == 0)
     }
 
     fn assert_capacity(&self, faults: &NodeSet) {
@@ -335,13 +416,18 @@ struct MaskBuilder {
     stride: usize,
     pairs: Vec<(Node, Node)>,
     pair_slots: Vec<u32>,
+    /// Word-major, sized for `slots` up front (see
+    /// [`CompiledRoutes`]'s `masks`).
     masks: Vec<u64>,
+    slots: usize,
     slot_pair: Vec<u32>,
     base: BitMatrix,
 }
 
 impl MaskBuilder {
-    fn new(n: usize, pair_hint: usize) -> Self {
+    /// A builder for `slots` route slots in total, over about
+    /// `pair_hint` pairs.
+    fn new(n: usize, pair_hint: usize, slots: usize) -> Self {
         let stride = n.div_ceil(64);
         let mut pair_slots = Vec::with_capacity(pair_hint + 1);
         pair_slots.push(0u32);
@@ -350,8 +436,9 @@ impl MaskBuilder {
             stride,
             pairs: Vec::with_capacity(pair_hint),
             pair_slots,
-            masks: Vec::with_capacity(pair_hint * stride),
-            slot_pair: Vec::with_capacity(pair_hint),
+            masks: vec![0; slots * stride],
+            slots,
+            slot_pair: Vec::with_capacity(slots),
             base: BitMatrix::new(n),
         }
     }
@@ -364,11 +451,11 @@ impl MaskBuilder {
     /// Adds one route slot for the current pair, masking the interior
     /// nodes of `nodes` (endpoints are handled by the BFS alive-mask).
     fn push_slot(&mut self, s: Node, d: Node, nodes: &[Node]) {
-        let start = self.masks.len();
-        self.masks.resize(start + self.stride, 0);
+        let slot = self.slot_pair.len();
+        assert!(slot < self.slots, "more route slots than reserved");
         for &v in nodes {
             if v != s && v != d {
-                self.masks[start + v as usize / 64] |= 1u64 << (v % 64);
+                self.masks[v as usize / 64 * self.slots + slot] |= 1u64 << (v % 64);
             }
         }
         self.slot_pair.push((self.pairs.len() - 1) as u32);
@@ -659,6 +746,231 @@ impl EpochState {
         );
         self.live
             .diameter_within(Some(&self.faults), bound, &engine.hubs)
+    }
+
+    /// Decides [`EpochState::diameter_within`] for up to 64 one-fault
+    /// extensions `F ∪ {v}` of the current fault set `F` at once.
+    ///
+    /// On entry `lanes` is a node bitset (`n.div_ceil(64)` words) of
+    /// candidates `v`; on return it holds the accepted ones: every `v`
+    /// left set has `D(R/(F ∪ {v})) <= bound`. The answer is one-sided —
+    /// a cleared candidate may still be within the bound, and is for the
+    /// caller's scalar decision to settle. A candidate is accepted
+    /// exactly when the sweep behind `diameter_within` on `F ∪ {v}`
+    /// would accept it from the hub alone: it uses the same hub (the
+    /// first hub candidate alive under `F`), which is therefore never
+    /// accepted itself, and faulty or out-of-range candidates never are.
+    ///
+    /// Each word of `lanes` is one pass: lane `k` stands for node
+    /// `64w + k`, an arc is live in the lanes whose node avoids the
+    /// interior of one of its pair's live routes (one word per live slot,
+    /// read from the stored interior masks), and one push BFS from the
+    /// hub and one pull BFS to it run with a `u64` of lanes per node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `engine` is not the engine this state was created from
+    /// or `lanes` is not `n.div_ceil(64)` words long.
+    pub fn extensions_within(&self, engine: &CompiledRoutes, bound: u32, lanes: &mut [u64]) {
+        assert_eq!(
+            self.engine_id, engine.build_id,
+            "epoch state used with a different engine"
+        );
+        assert_eq!(lanes.len(), engine.stride, "lanes must cover every node");
+        let faults = self.faults.words();
+        let n = engine.n;
+        let alive = |v: usize| v < n && faults[v / 64] & (1u64 << (v % 64)) == 0;
+        let hub = engine
+            .hubs
+            .iter()
+            .map(|&h| h as usize)
+            .find(|&h| alive(h))
+            .or_else(|| (0..n).find(|&v| alive(v)));
+        let Some(hub) = hub else {
+            lanes.fill(0); // nobody survives, so nobody is a candidate
+            return;
+        };
+        thread_local! {
+            static SCRATCH: std::cell::RefCell<LaneScratch> =
+                std::cell::RefCell::new(LaneScratch::default());
+        }
+        SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            for (w, word) in lanes.iter_mut().enumerate() {
+                let mut cands = *word & !faults[w];
+                if w + 1 == engine.stride && !n.is_multiple_of(64) {
+                    cands &= (1u64 << (n % 64)) - 1;
+                }
+                if hub / 64 == w {
+                    cands &= !(1u64 << (hub % 64));
+                }
+                *word = if cands == 0 {
+                    0
+                } else {
+                    self.lane_pass(engine, w, cands, hub, bound, scratch)
+                };
+            }
+        });
+    }
+
+    /// One word of [`EpochState::extensions_within`]: the lanes of
+    /// `cands` (nodes `64w + k`, none of them faulty or the hub) whose
+    /// fault set the hub accepts, i.e. it reaches and is reached by
+    /// every survivor with `ecc_out + ecc_in <= bound`.
+    fn lane_pass(
+        &self,
+        engine: &CompiledRoutes,
+        w: usize,
+        cands: u64,
+        hub: usize,
+        bound: u32,
+        scratch: &mut LaneScratch,
+    ) -> u64 {
+        let n = engine.n;
+        let faults = self.faults.words();
+        // A live pair's arc is live in every lane but those whose node
+        // lies on all of its live routes: one word of the node word's
+        // mask column per live route.
+        let column = &engine.masks[w * engine.slot_count()..(w + 1) * engine.slot_count()];
+        let arc = &mut scratch.arc;
+        arc.clear();
+        arc.extend(self.pair_live.iter().enumerate().map(|(p, &live)| {
+            if live == 0 {
+                return 0;
+            }
+            engine
+                .slots_of(p)
+                .filter(|&slot| self.kill[slot] == 0)
+                .fold(0, |acc, slot| acc | !column[slot])
+                & cands
+        }));
+        let alive = &mut scratch.alive;
+        alive.clear();
+        alive.extend((0..n).map(|x| {
+            if faults[x / 64] & (1u64 << (x % 64)) != 0 {
+                0
+            } else if x / 64 == w {
+                cands & !(1u64 << (x % 64))
+            } else {
+                cands
+            }
+        }));
+        let arc = &scratch.arc;
+
+        // From the hub along out-arcs, then to it along in-arcs; a lane
+        // is out once ecc_out, then ecc_out + ecc_in, passes the bound.
+        let (active, ecc_out) = scratch.bfs.run(n, hub, cands, &[bound; 64], alive, |s| {
+            let range = engine.src_off[s] as usize..engine.src_off[s + 1] as usize;
+            engine.pairs[range.clone()]
+                .iter()
+                .zip(&arc[range])
+                .map(|(&(_, d), &lanes)| (d as usize, lanes))
+        });
+        if active == 0 {
+            return 0;
+        }
+        let budget = ecc_out.map(|e| bound.saturating_sub(e));
+        let (active, _) = scratch.bfs.run(n, hub, active, &budget, alive, |d| {
+            engine.by_dst[engine.dst_off[d] as usize..engine.dst_off[d + 1] as usize]
+                .iter()
+                .map(|&p| (engine.pairs[p as usize].0 as usize, arc[p as usize]))
+        });
+        active
+    }
+}
+
+/// Per-thread buffers of [`EpochState::extensions_within`]: a lane
+/// word per pair (`arc`) and per node (`alive` and the BFS's).
+#[derive(Default)]
+struct LaneScratch {
+    arc: Vec<u64>,
+    alive: Vec<u64>,
+    bfs: LaneBfs,
+}
+
+/// A breadth-first search with one `u64` of lanes per node (Then et
+/// al.'s multi-source BFS, turned to one source and 64 graphs).
+#[derive(Default)]
+struct LaneBfs {
+    seen: Vec<u64>,
+    frontier: Vec<u64>,
+    next: Vec<u64>,
+}
+
+impl LaneBfs {
+    /// Runs from `root` in the `lanes` given, along `arcs(x)` — the
+    /// `(neighbour, lanes the arc is live in)` of `x` — over the nodes
+    /// alive in each lane. A lane is dropped as soon as it reaches a
+    /// node at a depth over its `budget`, or if it leaves an alive node
+    /// unreached. Returns the lanes left and each lane's eccentricity.
+    fn run<I: Iterator<Item = (usize, u64)>>(
+        &mut self,
+        n: usize,
+        root: usize,
+        lanes: u64,
+        budget: &[u32; 64],
+        alive: &[u64],
+        arcs: impl Fn(usize) -> I,
+    ) -> (u64, [u32; 64]) {
+        let LaneBfs {
+            seen,
+            frontier,
+            next,
+        } = self;
+        for buf in [&mut *seen, &mut *frontier, &mut *next] {
+            buf.clear();
+            buf.resize(n, 0);
+        }
+        let mut active = lanes;
+        let mut ecc = [0u32; 64];
+        seen[root] = active;
+        frontier[root] = active;
+        let mut depth = 0u32;
+        loop {
+            next.fill(0);
+            for (x, &f) in frontier.iter().enumerate() {
+                let f = f & active;
+                if f != 0 {
+                    for (y, arc) in arcs(x) {
+                        next[y] |= f & arc;
+                    }
+                }
+            }
+            let mut newly = 0u64;
+            for ((nx, sx), &ax) in next.iter_mut().zip(seen.iter_mut()).zip(alive) {
+                *nx &= ax & !*sx;
+                *sx |= *nx;
+                newly |= *nx;
+            }
+            if newly == 0 {
+                break;
+            }
+            depth += 1;
+            for_lanes(newly, |k| {
+                if depth > budget[k] {
+                    active &= !(1u64 << k);
+                } else {
+                    ecc[k] = depth;
+                }
+            });
+            if active == 0 {
+                break;
+            }
+            std::mem::swap(frontier, next);
+        }
+        ftr_graph::count_bfs(depth);
+        for (&ax, &sx) in alive.iter().zip(seen.iter()) {
+            active &= !(ax & !sx);
+        }
+        (active, ecc)
+    }
+}
+
+/// Calls `f` with the index of every set bit of `bits`, lowest first.
+fn for_lanes(mut bits: u64, mut f: impl FnMut(usize)) {
+    while bits != 0 {
+        f(bits.trailing_zeros() as usize);
+        bits &= bits - 1;
     }
 }
 

@@ -92,10 +92,17 @@ where
 }
 
 /// The construction-time default worker count: one per available core.
+///
+/// Read once per process: asking the OS costs ≈ 20 µs (it reads the
+/// cgroup's CPU quota), which every `SearchConfig::default()` — one per
+/// online `TOLERATE` — would otherwise pay.
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 #[cfg(test)]

@@ -521,9 +521,11 @@ fn covers(visited: &[u64], alive: &[u64]) -> bool {
     visited.iter().zip(alive).all(|(v, a)| v & a == *a)
 }
 
-/// One BFS pass of `depth` levels, for the `obs-counters` build.
+/// Records one BFS pass of `depth` levels in the `obs-counters` build
+/// (a no-op otherwise) — every traversal kernel reports through here,
+/// including the compiled engine's 64-lane passes outside this crate.
 #[inline]
-fn count_bfs(depth: u32) {
+pub fn count_bfs(depth: u32) {
     #[cfg(feature = "obs-counters")]
     {
         use std::sync::atomic::Ordering::Relaxed;

@@ -71,7 +71,7 @@ pub mod spec;
 pub mod traversal;
 pub mod vulnerability;
 
-pub use bitmatrix::{BfsScratch, BitMatrix};
+pub use bitmatrix::{count_bfs, BfsScratch, BitMatrix};
 pub use digraph::DiGraph;
 pub use error::GraphError;
 pub use graph::Graph;

@@ -3,9 +3,11 @@
 //! Compiled only under the `obs-counters` feature: with it disabled the
 //! statics (and the counting code in the kernels) do not exist, so the
 //! default build pays nothing. With it enabled the cost is one relaxed
-//! atomic add per field per [`crate::BitMatrix`] BFS pass (from a source
-//! or, for the hub's in-distances, to one) — never one per frontier word
-//! or per level — and one per max flow a
+//! atomic add per field per BFS pass — a [`crate::BitMatrix`] pass from
+//! a source or, for the hub's in-distances, to one, and each direction
+//! of the compiled engine's 64-lane pass, all through
+//! [`crate::count_bfs`] — never one per frontier word or per level — and
+//! one per max flow a
 //! [`crate::flow::SplitNetwork`] runs, never one per augmentation.
 //!
 //! [`FLOW_RUNS`] is what makes construction cost testable without a
@@ -16,7 +18,7 @@
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Bit-parallel BFS passes (one per eccentricity evaluation, push or
-/// pull).
+/// pull; a lane pass over up to 64 fault sets counts one each way).
 pub static BFS_CALLS: AtomicU64 = AtomicU64::new(0);
 /// Total BFS levels expanded (frontier iterations) across all calls.
 pub static BFS_LEVELS: AtomicU64 = AtomicU64::new(0);
