@@ -506,10 +506,10 @@ fn measure(
     // Give the churn thread's final repairs a moment, then stop the
     // server and collect its counters.
     let epochs = handle.store().current_id();
-    let server_stats = handle.stats();
-    let cache_hits = server_stats.cache_hits.load(Ordering::Relaxed);
-    let server_queries = server_stats.queries.load(Ordering::Relaxed);
-    let server_errors = server_stats.protocol_errors.load(Ordering::Relaxed);
+    let counters = handle.obs();
+    let cache_hits = counters.cache_hits.get();
+    let server_queries = counters.queries.get();
+    let server_errors = counters.protocol_errors.get();
     spawned
         .shutdown_and_join()
         .map_err(|e| format!("unclean shutdown: {e}"))?;

@@ -12,7 +12,6 @@ use crate::RoutingError;
 /// construction is (4, t)-tolerant unidirectionally but (5, t)-tolerant
 /// bidirectionally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RoutingKind {
     /// `ρ(x, y)` and `ρ(y, x)` are independent routes.
     Unidirectional,
@@ -21,7 +20,6 @@ pub enum RoutingKind {
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct RouteRef {
     path: u32,
     forward: bool,
@@ -30,7 +28,6 @@ struct RouteRef {
 /// Mutable construction state: one [`Path`] allocation per stored route
 /// and a hash map from ordered pairs to path references.
 #[derive(Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct Builder {
     paths: Vec<Path>,
     table: HashMap<(Node, Node), RouteRef>,
@@ -45,7 +42,6 @@ struct Builder {
 /// pair in that scan — a canonical layout that depends only on the route
 /// *set*, never on insertion order or orientation.
 #[derive(Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct Frozen {
     /// CSR row offsets into the `col_*` arrays, one entry per source
     /// node plus a trailing total.
@@ -94,7 +90,6 @@ impl Frozen {
 }
 
 #[derive(Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum Repr {
     Building(Builder),
     Frozen(Frozen),
@@ -142,7 +137,6 @@ enum Repr {
 /// # }
 /// ```
 #[derive(Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Routing {
     n: usize,
     kind: RoutingKind,

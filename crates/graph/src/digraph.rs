@@ -25,7 +25,6 @@ use crate::{BitMatrix, GraphError, Node, NodeSet, INFINITY};
 /// # }
 /// ```
 #[derive(Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DiGraph {
     out_adj: Vec<Vec<Node>>,
     arc_count: usize,

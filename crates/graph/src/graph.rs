@@ -30,7 +30,6 @@ use crate::{GraphError, Node, NodeSet};
 /// # }
 /// ```
 #[derive(Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Graph {
     adj: Vec<Vec<Node>>,
     edge_count: usize,

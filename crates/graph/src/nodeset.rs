@@ -22,7 +22,6 @@ use crate::Node;
 /// assert_eq!(faults.iter().collect::<Vec<_>>(), vec![3, 5]);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeSet {
     words: Vec<u64>,
     capacity: usize,

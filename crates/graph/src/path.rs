@@ -28,7 +28,6 @@ use crate::{Graph, GraphError, Node, NodeSet};
 /// # }
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Path {
     nodes: Vec<Node>,
 }

@@ -18,31 +18,33 @@
 //!   Prometheus-style text exposition ([`Registry::render_prometheus`])
 //!   and flat JSON snapshots ([`Registry::render_json`]). Registration
 //!   takes a lock; reads and writes of the registered cells do not.
-//! - [`TraceRing`] — a bounded ring-buffer journal of structured
-//!   [`TraceEvent`]s tagged with epoch ids and monotonic timestamps
-//!   (see [`monotonic_nanos`]), drained by the `TRACE n` protocol verb.
+//! - [`Journal`] — the one bounded ring (newest `cap` entries, push
+//!   returns the evicted one, lifetime push/eviction tallies). It backs
+//!   the [`TraceRing`] of structured [`TraceEvent`]s tagged with epoch
+//!   ids and monotonic timestamps (see [`monotonic_nanos`]) behind the
+//!   `TRACE n` verb, the [`LineageJournal`] of epoch advances (parent
+//!   id, applied events, occupancy delta, apply/publish timing) behind
+//!   `LINEAGE`, and both rings of the [`SpanStore`].
 //! - [`SpanRecorder`] / [`SpanStore`] — the flight recorder: per-shard
 //!   lock-free span buffers capturing each request batch's stage
 //!   breakdown (decode → cache → engine → serialize → write), bulk
 //!   flushed into a shared store with tail-based retention of any batch
 //!   slower than the rolling p99 (the `SPANS`/`SLOW` verbs).
-//! - [`LineageJournal`] — a bounded journal of epoch advances (parent
-//!   id, applied events, occupancy delta, apply/publish timing) behind
-//!   the `LINEAGE` verb.
 //! - [`SloAlert`] — multi-window SLO burn-rate tracking for the stall
 //!   watchdog: short-window burn detects fast, long-window burn
 //!   suppresses blips.
 //!
 //! Nothing in this crate blocks on the metric hot path: counters and
 //! gauges are single relaxed atomic ops, and histogram recording is a
-//! handful of them. The registry and trace ring take short mutexes only
-//! on registration, exposition and event push — all of which happen at
+//! handful of them. The registry and journals take short mutexes only
+//! on registration, exposition and push — all of which happen at
 //! epoch/batch/scrape rate, not query rate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod hist;
+mod journal;
 mod lineage;
 mod metrics;
 mod registry;
@@ -51,6 +53,7 @@ mod span;
 mod trace;
 
 pub use hist::Histogram;
+pub use journal::Journal;
 pub use lineage::{LineageJournal, LineageRecord};
 pub use metrics::{AtomicHistogram, Counter, Gauge};
 pub use registry::{Registry, Unit};

@@ -7,11 +7,9 @@
 //! produced which surviving graph — the paper's fault model, made
 //! queryable.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Mutex, PoisonError};
 
-use crate::metrics::Counter;
+use crate::journal::Journal;
 
 /// One epoch advance, as recorded at publish time.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -55,70 +53,9 @@ impl fmt::Display for LineageRecord {
     }
 }
 
-fn relock<G>(result: Result<G, PoisonError<G>>) -> G {
-    result.unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A bounded ring of [`LineageRecord`]s, oldest evicted first.
-///
-/// Pushes happen once per epoch advance (ingest cadence, not request
-/// cadence), so a mutexed ring is fine.
-pub struct LineageJournal {
-    cap: usize,
-    inner: Mutex<VecDeque<LineageRecord>>,
-    total: Counter,
-    dropped: Counter,
-}
-
-impl LineageJournal {
-    /// A journal retaining at most `cap` records.
-    pub fn new(cap: usize) -> Self {
-        LineageJournal {
-            cap: cap.max(1),
-            inner: Mutex::new(VecDeque::new()),
-            total: Counter::new(),
-            dropped: Counter::new(),
-        }
-    }
-
-    /// Appends a record, evicting the oldest when full.
-    pub fn push(&self, record: LineageRecord) {
-        let mut inner = relock(self.inner.lock());
-        if inner.len() >= self.cap {
-            inner.pop_front();
-            self.dropped.inc();
-        }
-        inner.push_back(record);
-        self.total.inc();
-    }
-
-    /// The newest `n` records, oldest first.
-    pub fn last(&self, n: usize) -> Vec<LineageRecord> {
-        let inner = relock(self.inner.lock());
-        let skip = inner.len().saturating_sub(n);
-        inner.iter().skip(skip).cloned().collect()
-    }
-
-    /// Records currently retained.
-    pub fn len(&self) -> usize {
-        relock(self.inner.lock()).len()
-    }
-
-    /// Whether the journal is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Records ever pushed.
-    pub fn total(&self) -> u64 {
-        self.total.get()
-    }
-
-    /// Records evicted by the bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.get()
-    }
-}
+/// The epoch-advance journal behind `LINEAGE [n]`: the newest `cap`
+/// records, oldest evicted first.
+pub type LineageJournal = Journal<LineageRecord>;
 
 #[cfg(test)]
 mod tests {

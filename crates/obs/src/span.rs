@@ -17,10 +17,10 @@
 //! all batch durations seen so far. The store is mutexed — it sits on
 //! the flush/scrape path, never the per-request path.
 
-use std::collections::VecDeque;
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 use crate::hist::Histogram;
+use crate::journal::{relock, Journal};
 use crate::metrics::Counter;
 use crate::trace::monotonic_nanos;
 
@@ -238,26 +238,16 @@ impl BatchSpans {
     }
 }
 
-fn relock<G>(result: Result<G, PoisonError<G>>) -> G {
-    result.unwrap_or_else(PoisonError::into_inner)
-}
-
-struct StoreInner {
-    recent: VecDeque<BatchSpans>,
-    slow: VecDeque<BatchSpans>,
-    /// Every batch total ever ingested — the rolling-p99 source.
-    durations: Histogram,
-}
-
 /// The shared span sink: a bounded ring of recent batch trees plus the
 /// tail-retained slow-query log.
 pub struct SpanStore {
-    recent_cap: usize,
-    slow_cap: usize,
-    inner: Mutex<StoreInner>,
-    batches: Counter,
+    recent: Journal<BatchSpans>,
+    slow: Journal<BatchSpans>,
+    /// Every batch total ever ingested — the rolling-p99 source. Its
+    /// lock is held across a whole ingest, so concurrent flushes land
+    /// in the rings one flush at a time.
+    durations: Mutex<Histogram>,
     spans_dropped: Counter,
-    slow_retained: Counter,
 }
 
 impl SpanStore {
@@ -265,75 +255,59 @@ impl SpanStore {
     /// `slow_cap` tail-retained slow batches.
     pub fn new(recent_cap: usize, slow_cap: usize) -> Self {
         SpanStore {
-            recent_cap: recent_cap.max(1),
-            slow_cap: slow_cap.max(1),
-            inner: Mutex::new(StoreInner {
-                recent: VecDeque::new(),
-                slow: VecDeque::new(),
-                durations: Histogram::new(),
-            }),
-            batches: Counter::new(),
+            recent: Journal::new(recent_cap),
+            slow: Journal::new(slow_cap),
+            durations: Mutex::new(Histogram::new()),
             spans_dropped: Counter::new(),
-            slow_retained: Counter::new(),
         }
     }
 
     /// Bulk-ingests a shard's accumulated batch trees (draining
-    /// `batches`): one lock acquisition per flush, never per request.
-    /// Each batch lands in the recent ring; a batch whose total exceeds
-    /// the rolling p99 (once [`SLOW_MIN_SAMPLES`] batches have been
-    /// seen) is also retained in the slow ring. Evicted batches count
-    /// their spans into the dropped total.
+    /// `batches`) at flush cadence, never per request. Each batch lands
+    /// in the recent ring; a batch whose total exceeds the rolling p99
+    /// (once [`SLOW_MIN_SAMPLES`] batches have been seen) is also
+    /// retained in the slow ring. Evicted batches count their spans
+    /// into the dropped total.
     pub fn ingest(&self, batches: &mut Vec<BatchSpans>) {
         if batches.is_empty() {
             return;
         }
-        let mut inner = relock(self.inner.lock());
+        let mut durations = relock(&self.durations);
         for batch in batches.drain(..) {
-            self.batches.inc();
-            let seen = inner.durations.count();
-            let p99 = inner.durations.quantile(0.99);
-            inner.durations.record(batch.total_nanos);
+            let seen = durations.count();
+            let p99 = durations.quantile(0.99);
+            durations.record(batch.total_nanos);
             if seen >= SLOW_MIN_SAMPLES && batch.total_nanos > p99 {
-                if inner.slow.len() >= self.slow_cap {
-                    if let Some(evicted) = inner.slow.pop_front() {
-                        self.spans_dropped.add(evicted.spans.len() as u64);
-                    }
-                }
-                self.slow_retained.inc();
-                inner.slow.push_back(batch.clone());
+                self.count_dropped(self.slow.push(batch.clone()));
             }
-            if inner.recent.len() >= self.recent_cap {
-                if let Some(evicted) = inner.recent.pop_front() {
-                    self.spans_dropped.add(evicted.spans.len() as u64);
-                }
-            }
-            inner.recent.push_back(batch);
+            self.count_dropped(self.recent.push(batch));
+        }
+    }
+
+    fn count_dropped(&self, evicted: Option<BatchSpans>) {
+        if let Some(evicted) = evicted {
+            self.spans_dropped.add(evicted.spans.len() as u64);
         }
     }
 
     /// The newest `n` batches, oldest first.
     pub fn recent(&self, n: usize) -> Vec<BatchSpans> {
-        let inner = relock(self.inner.lock());
-        let skip = inner.recent.len().saturating_sub(n);
-        inner.recent.iter().skip(skip).cloned().collect()
+        self.recent.last(n)
     }
 
     /// The newest `n` tail-retained slow batches, oldest first.
     pub fn slow(&self, n: usize) -> Vec<BatchSpans> {
-        let inner = relock(self.inner.lock());
-        let skip = inner.slow.len().saturating_sub(n);
-        inner.slow.iter().skip(skip).cloned().collect()
+        self.slow.last(n)
     }
 
     /// The rolling p99 of batch total durations (0 before any batch).
     pub fn p99_nanos(&self) -> u64 {
-        relock(self.inner.lock()).durations.quantile(0.99)
+        relock(&self.durations).quantile(0.99)
     }
 
     /// Batches ingested since start.
     pub fn batches_total(&self) -> u64 {
-        self.batches.get()
+        self.recent.total()
     }
 
     /// Spans evicted from the recent/slow rings since start.
@@ -344,7 +318,7 @@ impl SpanStore {
     /// Batches retained in the slow ring since start (including later
     /// evicted ones).
     pub fn slow_total(&self) -> u64 {
-        self.slow_retained.get()
+        self.slow.total()
     }
 }
 

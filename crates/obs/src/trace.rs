@@ -1,10 +1,10 @@
-//! A bounded ring-buffer journal of structured events.
+//! Structured trace events and the journal that keeps the newest ones.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
+
+use crate::journal::Journal;
 
 /// Nanoseconds on a process-wide monotonic clock. The origin is the
 /// first call in the process (so the first reading is 0); call once at
@@ -43,77 +43,21 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// A bounded ring buffer of [`TraceEvent`]s. Pushes beyond the capacity
-/// evict the oldest entry and bump the drop counter, so the journal is
-/// always the *last* `cap` events. Pushing takes a short mutex — trace
-/// events fire at epoch/batch/search rate, never per query, so this is
-/// off the serving hot path by construction.
-pub struct TraceRing {
-    cap: usize,
-    inner: Mutex<VecDeque<TraceEvent>>,
-    total: AtomicU64,
-    dropped: AtomicU64,
-}
-
-impl TraceRing {
-    /// A ring holding at most `cap` events (`cap == 0` keeps nothing).
-    pub fn new(cap: usize) -> Self {
-        TraceRing {
-            cap,
-            inner: Mutex::new(VecDeque::with_capacity(cap.min(4096))),
-            total: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Appends an event stamped with [`monotonic_nanos`] now.
-    pub fn push(&self, epoch: u64, kind: &'static str, detail: String) {
-        self.total.fetch_add(1, Relaxed);
-        let event = TraceEvent {
+impl TraceEvent {
+    /// An event stamped with [`monotonic_nanos`] now.
+    pub fn now(epoch: u64, kind: &'static str, detail: String) -> Self {
+        TraceEvent {
             nanos: monotonic_nanos(),
             epoch,
             kind,
             detail,
-        };
-        let mut ring = self.inner.lock().unwrap();
-        if self.cap == 0 {
-            self.dropped.fetch_add(1, Relaxed);
-            return;
         }
-        if ring.len() == self.cap {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Relaxed);
-        }
-        ring.push_back(event);
-    }
-
-    /// The last `n` events, oldest first.
-    pub fn last(&self, n: usize) -> Vec<TraceEvent> {
-        let ring = self.inner.lock().unwrap();
-        let skip = ring.len().saturating_sub(n);
-        ring.iter().skip(skip).cloned().collect()
-    }
-
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events pushed over the ring's lifetime.
-    pub fn total(&self) -> u64 {
-        self.total.load(Relaxed)
-    }
-
-    /// Events evicted (or refused at `cap == 0`).
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Relaxed)
     }
 }
+
+/// The event journal drained by the `TRACE n` verb: always the *last*
+/// `cap` events pushed.
+pub type TraceRing = Journal<TraceEvent>;
 
 #[cfg(test)]
 mod tests {
@@ -123,7 +67,7 @@ mod tests {
     fn ring_keeps_the_last_events_and_counts_drops() {
         let ring = TraceRing::new(3);
         for i in 0..5u64 {
-            ring.push(i, "tick", format!("i={i}"));
+            ring.push(TraceEvent::now(i, "tick", format!("i={i}")));
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.total(), 5);

@@ -7,7 +7,7 @@
 //!
 //! * [`RoutingSnapshot`] — the immutable serving artifact: network,
 //!   route table and compiled engine, loadable from a text format
-//!   (graph6 topology + route lines);
+//!   (`ftr-snapshot v2`: graph6 topology + the frozen route arena);
 //! * [`EpochStore`] / [`Epoch`] — epoch-versioned snapshots of the
 //!   surviving route graph, published by one writer with an atomic
 //!   swap and read lock-free in the steady state; each epoch carries
@@ -37,21 +37,22 @@
 //!   request batches and answers each batch against a single epoch
 //!   acquisition), plus the blocking client the `loadgen` bench binary
 //!   drives it with;
-//! * [`ServeObs`] — the observability surface built on `ftr-obs`:
-//!   per-verb counters and latency summaries, per-shard cache and
-//!   batch-size series, ingest/epoch timing and a bounded trace
-//!   journal, exposed over the `METRICS` (Prometheus text exposition)
-//!   and `TRACE n` verbs and recorded shard-locally so the hot path
-//!   stays lock-free;
-//! * the **flight recorder** — request-scoped span tracing of every
-//!   batch (decode → cache → engine → serialize → write, recorded in
-//!   the same shard-local accumulators and flushed on the existing
-//!   cadence) with tail-based retention of batches slower than the
-//!   rolling p99, exposed over `SPANS [n]` and `SLOW [n]`; an epoch
-//!   **lineage journal** (parent epoch, applied events, occupancy
-//!   delta, apply/publish timing per advance) behind `LINEAGE [n]`;
-//!   and a stall **watchdog** ([`SloConfig`]) sampling queue depths
-//!   and latency windows into multi-window SLO burn-rate alerts.
+//! * [`ServeObs`] — the one stat system, built on `ftr-obs`: the
+//!   `STATS` tallies, per-verb counters and latency summaries,
+//!   per-shard cache and batch-size series and ingest/epoch timing, all
+//!   registry series exposed over `METRICS` (Prometheus text
+//!   exposition), recorded shard-locally so the hot path stays
+//!   lock-free;
+//! * the **journals** — one bounded [`ftr_obs::Journal`] behind the
+//!   trace events of `TRACE n`, the epoch lineage records (parent
+//!   epoch, applied events, occupancy delta, apply/publish timing per
+//!   advance) of `LINEAGE [n]`, and both rings of the flight recorder:
+//!   the span tree of every batch (decode → cache → engine → serialize
+//!   → write, recorded in the same shard-local accumulators and flushed
+//!   on the existing cadence) behind `SPANS [n]`, and the batches
+//!   slower than the rolling p99 behind `SLOW [n]`;
+//! * a stall **watchdog** ([`SloConfig`]) sampling queue depths and
+//!   latency windows into multi-window SLO burn-rate alerts.
 //!
 //! # Example
 //!
@@ -100,6 +101,6 @@ pub use epoch::{Epoch, EpochReader, EpochStore, QueryCache, QueryKey};
 pub use ingest::{EventQueue, FaultEvent, IngestReport, Ingestor};
 pub use metrics::ServeObs;
 pub use query::{EngineWindow, QueryError, RouteReply, RouteScratch, ToleranceAnswer};
-pub use server::{Server, ServerConfig, ServerHandle, ServerStats, SpawnedServer};
+pub use server::{Server, ServerConfig, ServerHandle, SpawnedServer};
 pub use snapshot::{RoutingSnapshot, SnapshotError};
 pub use watchdog::SloConfig;

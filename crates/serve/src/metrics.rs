@@ -22,52 +22,12 @@ use ftr_obs::{
     LineageRecord, Registry, SpanRecorder, SpanStore, TraceEvent, TraceRing, Unit,
 };
 
-use crate::proto::Request;
-use crate::server::ServerStats;
-
-/// Verb labels, in dispatch order (`route` first: it dominates).
-pub(crate) const VERBS: [&str; 17] = [
-    "route", "ping", "epoch", "diam", "tolerate", "audit", "schemes", "plan", "fail", "repair",
-    "stats", "metrics", "trace", "quit", "spans", "slow", "lineage",
-];
-
-/// Index into [`VERBS`] (and the per-verb counter array) for a request.
-pub(crate) fn verb_index(request: &Request) -> usize {
-    match request {
-        Request::Route { .. } => 0,
-        Request::Ping => 1,
-        Request::Epoch => 2,
-        Request::Diam => 3,
-        Request::Tolerate { .. } => 4,
-        Request::Audit { .. } => 5,
-        Request::Schemes => 6,
-        Request::Plan { .. } => 7,
-        Request::Fail(_) => 8,
-        Request::Repair(_) => 9,
-        Request::Stats => 10,
-        Request::Metrics => 11,
-        Request::Trace(_) => 12,
-        Request::Quit => 13,
-        Request::Spans(_) => 14,
-        Request::Slow(_) => 15,
-        Request::Lineage(_) => 16,
-    }
-}
+use crate::proto::{ROUTE, VERBS};
 
 /// Stage labels of the flight-recorder span tree, in dispatch order.
 /// `batch` is the root; the rest are its children (`engine` nests under
 /// `cache`). Slow verbs additionally record a span named after the verb.
 pub(crate) const STAGES: [&str; 6] = ["batch", "decode", "cache", "engine", "serialize", "write"];
-
-/// Indices into the per-verb latency histograms (only the verbs whose
-/// server-side latency is worth a distribution).
-pub(crate) const LAT_ROUTE: usize = 0;
-pub(crate) const LAT_TOLERATE: usize = 1;
-pub(crate) const LAT_AUDIT: usize = 2;
-pub(crate) const LAT_PLAN: usize = 3;
-/// Labels of the latency-histogram slots (also the span stage names of
-/// the timed slow verbs — `&'static str`, as [`SpanRecorder`] requires).
-pub(crate) const LAT_VERBS: [&str; 4] = ["route", "tolerate", "audit", "plan"];
 
 /// Flush a shard's [`LocalObs`] into the shared registry every this
 /// many dispatch batches (also flushed on idle and at shard exit).
@@ -91,9 +51,24 @@ pub struct ServeObs {
     registry: Registry,
     trace: Arc<TraceRing>,
     start_nanos: u64,
+    // ---- the `STATS` tallies, counted whether `enabled` or not ----
+    /// Requests answered, `ERR` replies included (`STATS queries=`).
+    pub queries: Arc<Counter>,
+    /// `ROUTE`/`TOLERATE` answers served from the epoch cache plus
+    /// `AUDIT` memo hits (`STATS cache_hits=`).
+    pub cache_hits: Arc<Counter>,
+    /// Malformed requests and query errors (`STATS errors=`).
+    pub protocol_errors: Arc<Counter>,
+    /// Connections accepted (`STATS connections=`).
+    pub connections: Arc<Counter>,
+    /// Fault events enqueued (`STATS events=`).
+    pub events_enqueued: Arc<Counter>,
+    /// Transient accept-loop errors retried (`STATS accept_retries=`).
+    pub accept_retries: Arc<Counter>,
     // ---- serve ----
     requests: Vec<Arc<Counter>>,
-    latency: Vec<Arc<AtomicHistogram>>,
+    /// Latency histograms by verb row; `None` for untimed verbs.
+    latency: Vec<Option<Arc<AtomicHistogram>>>,
     shard_hits: Vec<Arc<Counter>>,
     shard_misses: Vec<Arc<Counter>>,
     shard_batch: Vec<Arc<AtomicHistogram>>,
@@ -119,12 +94,10 @@ pub struct ServeObs {
 }
 
 impl ServeObs {
-    /// Builds the full catalog for `shards` connection shards, bridging
-    /// the pre-existing [`ServerStats`] counters into the exposition.
-    /// `spans` toggles flight-recorder span collection independently of
-    /// the base metrics (and is forced off when `enabled` is).
-    pub(crate) fn new(enabled: bool, spans: bool, shards: usize, stats: Arc<ServerStats>) -> Self {
-        use std::sync::atomic::Ordering::Relaxed;
+    /// Builds the full catalog for `shards` connection shards. `spans`
+    /// toggles flight-recorder span collection independently of the
+    /// base metrics (and is forced off when `enabled` is).
+    pub(crate) fn new(enabled: bool, spans: bool, shards: usize) -> Self {
         let start_nanos = monotonic_nanos();
         let registry = Registry::new();
         let trace = Arc::new(TraceRing::new(TRACE_CAPACITY));
@@ -141,21 +114,23 @@ impl ServeObs {
                 registry.counter(
                     "ftr_requests_total",
                     "Requests dispatched, by verb (parsed lines only).",
-                    &[("verb", verb)],
+                    &[("verb", verb.name)],
                 )
             })
             .collect();
-        let latency = LAT_VERBS
+        let latency = VERBS
             .iter()
             .map(|verb| {
-                registry.histogram(
-                    "ftr_request_latency_seconds",
-                    "Server-side dispatch latency by verb (ROUTE is \
-                     batch-attributed: each query in a batch records the \
-                     batch's compute time).",
-                    Unit::Seconds,
-                    &[("verb", verb)],
-                )
+                verb.timed.then(|| {
+                    registry.histogram(
+                        "ftr_request_latency_seconds",
+                        "Server-side dispatch latency by verb (ROUTE is \
+                         batch-attributed: each query in a batch records the \
+                         batch's compute time).",
+                        Unit::Seconds,
+                        &[("verb", verb.name)],
+                    )
+                })
             })
             .collect();
         let mut shard_hits = Vec::with_capacity(shards);
@@ -242,42 +217,36 @@ impl ServeObs {
             &[],
         );
 
-        // Pre-existing STATS counters, bridged so one scrape carries
-        // everything. (The Arc clones keep the closures 'static.)
-        let s = Arc::clone(&stats);
-        registry.func_counter(
+        let queries = registry.counter(
             "ftr_queries_total",
             "Requests answered, ERR replies included (STATS queries=).",
             &[],
-            move || s.queries.load(Relaxed),
         );
-        let s = Arc::clone(&stats);
-        registry.func_counter(
+        let connections = registry.counter(
             "ftr_connections_total",
             "Connections accepted (STATS connections=).",
             &[],
-            move || s.connections.load(Relaxed),
         );
-        let s = Arc::clone(&stats);
-        registry.func_counter(
+        let protocol_errors = registry.counter(
             "ftr_protocol_errors_total",
             "Malformed requests and query errors (STATS errors=).",
             &[],
-            move || s.protocol_errors.load(Relaxed),
         );
-        let s = Arc::clone(&stats);
-        registry.func_counter(
+        let events_enqueued = registry.counter(
             "ftr_events_enqueued_total",
             "Fault events enqueued (STATS events=).",
             &[],
-            move || s.events_enqueued.load(Relaxed),
         );
-        let s = Arc::clone(&stats);
-        registry.func_counter(
+        let accept_retries = registry.counter(
             "ftr_accept_retries_total",
             "Transient accept-loop errors retried (STATS accept_retries=).",
             &[],
-            move || s.accept_retries.load(Relaxed),
+        );
+        let cache_hits = registry.counter(
+            "ftr_reply_cache_hits_total",
+            "ROUTE/TOLERATE answers served from the epoch cache plus AUDIT \
+             memo hits (STATS cache_hits=).",
+            &[],
         );
 
         let ingest_events = registry.counter(
@@ -391,6 +360,12 @@ impl ServeObs {
             registry,
             trace,
             start_nanos,
+            queries,
+            cache_hits,
+            protocol_errors,
+            connections,
+            events_enqueued,
+            accept_retries,
             requests,
             latency,
             shard_hits,
@@ -448,7 +423,9 @@ impl ServeObs {
     /// Point-in-time route-latency histogram (cumulative; diff two
     /// snapshots for a window) — the watchdog's burn-rate input.
     pub(crate) fn route_latency_snapshot(&self) -> Histogram {
-        self.latency[LAT_ROUTE].snapshot()
+        self.latency[ROUTE]
+            .as_ref()
+            .map_or_else(Histogram::new, |route| route.snapshot())
     }
 
     /// Point-in-time epoch-publish latency histogram (cumulative).
@@ -611,17 +588,20 @@ impl ServeObs {
                 publish_nanos,
                 at_nanos: monotonic_nanos(),
             });
-            self.trace.push(
+            self.trace.push(TraceEvent::now(
                 epoch_id,
                 "epoch_publish",
                 format!(
                     "events={events} applied={applied} faults={faults} \
                      apply_ns={apply_nanos} publish_ns={publish_nanos}"
                 ),
-            );
+            ));
         } else {
-            self.trace
-                .push(epoch_id, "ingest_noop", format!("events={events}"));
+            self.trace.push(TraceEvent::now(
+                epoch_id,
+                "ingest_noop",
+                format!("events={events}"),
+            ));
         }
     }
 
@@ -629,8 +609,11 @@ impl ServeObs {
     pub(crate) fn seed_epoch(&self, epoch_id: u64, faults: u64) {
         self.epoch_id.set(epoch_id);
         self.epoch_faults.set(faults);
-        self.trace
-            .push(epoch_id, "server_start", format!("faults={faults}"));
+        self.trace.push(TraceEvent::now(
+            epoch_id,
+            "server_start",
+            format!("faults={faults}"),
+        ));
     }
 
     /// Records one TOLERATE/AUDIT search (visited/pruned progression
@@ -649,11 +632,11 @@ impl ServeObs {
         self.search_visited.add(visited);
         self.search_pruned.add(pruned);
         self.search_wall_seconds.record(wall_nanos);
-        self.trace.push(
+        self.trace.push(TraceEvent::now(
             epoch_id,
             kind,
             format!("visited={visited} pruned={pruned} wall_ns={wall_nanos}"),
-        );
+        ));
     }
 }
 
@@ -667,7 +650,8 @@ pub(crate) struct LocalObs {
     pub hits: u64,
     pub misses: u64,
     pub batch_sizes: Histogram,
-    pub latency: [Histogram; LAT_VERBS.len()],
+    /// Latency by verb row (only timed verbs record).
+    pub latency: [Histogram; VERBS.len()],
     /// Dispatch batches since the last flush.
     pub batches: u32,
     /// The shard's span buffer for the batch currently dispatching.
@@ -749,7 +733,9 @@ impl LocalObs {
         obs.shard_batch[shard].merge_from(&self.batch_sizes);
         self.batch_sizes.clear();
         for (local, shared) in self.latency.iter_mut().zip(&obs.latency) {
-            shared.merge_from(local);
+            if let Some(shared) = shared {
+                shared.merge_from(local);
+            }
             local.clear();
         }
         for (local, shared) in self.stage.iter_mut().zip(&obs.stage_seconds) {
@@ -767,7 +753,7 @@ mod tests {
 
     #[test]
     fn catalog_renders_at_least_twelve_series() {
-        let obs = ServeObs::new(true, true, 2, Arc::new(ServerStats::default()));
+        let obs = ServeObs::new(true, true, 2);
         let text = obs.render_prometheus();
         let families: std::collections::BTreeSet<&str> = text
             .lines()
@@ -808,14 +794,14 @@ mod tests {
 
     #[test]
     fn local_obs_flushes_into_the_shared_catalog() {
-        let obs = ServeObs::new(true, true, 1, Arc::new(ServerStats::default()));
+        let obs = ServeObs::new(true, true, 1);
         let mut local = LocalObs::new();
         local.verbs[0] += 3; // route
         local.verbs[1] += 1; // ping
         local.hits += 2;
         local.misses += 1;
         local.batch_sizes.record(4);
-        local.latency[LAT_ROUTE].record_n(10_000, 4);
+        local.latency[ROUTE].record_n(10_000, 4);
         local.batches = 1;
         local.flush(&obs, 0);
         assert!(!local.dirty());
@@ -833,7 +819,7 @@ mod tests {
 
     #[test]
     fn ingest_and_search_paths_record_and_trace() {
-        let obs = ServeObs::new(true, true, 1, Arc::new(ServerStats::default()));
+        let obs = ServeObs::new(true, true, 1);
         obs.seed_epoch(0, 0);
         obs.ingest_batch(3, 2, 1_000, 500, true, 1, 2, 0, 0);
         obs.ingest_batch(1, 0, 0, 0, false, 1, 2, 1, 2);
@@ -858,7 +844,7 @@ mod tests {
         let metrics = obs.metrics_reply();
         assert!(metrics.starts_with("OK METRICS lines="));
         // Disabled recording is a no-op but the exposition still works.
-        let off = ServeObs::new(false, true, 1, Arc::new(ServerStats::default()));
+        let off = ServeObs::new(false, true, 1);
         assert!(!off.spans_enabled(), "spans force off without metrics");
         off.ingest_batch(3, 2, 1_000, 500, true, 1, 2, 0, 0);
         off.search("audit_search", 1, 5, 0, 10);
@@ -870,7 +856,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_flushes_and_replies() {
-        let obs = ServeObs::new(true, true, 1, Arc::new(ServerStats::default()));
+        let obs = ServeObs::new(true, true, 1);
         assert!(obs.spans_enabled());
         let mut local = LocalObs::new();
         // An abandoned (empty) batch seals to nothing.

@@ -131,6 +131,114 @@ pub enum Request {
     Quit,
 }
 
+/// How a verb's arguments parse. Each shape carries the constructor of
+/// its verb's [`Request`].
+#[derive(Clone, Copy)]
+enum Args {
+    /// No argument.
+    Bare(Request),
+    /// Two node ids, `<x> <y>`.
+    Pair(fn(Node, Node) -> Request),
+    /// A `<d> <f>` claim: diameter bound and fault count.
+    Claim(fn(u32, usize) -> Request),
+    /// One node id, `<v>`.
+    Node(fn(Node) -> Request),
+    /// A count `<n>`, named by the first field in errors and optional
+    /// when the second holds a default.
+    Count(&'static str, Option<usize>, fn(usize) -> Request),
+}
+
+/// One row of the verb table.
+pub(crate) struct Verb {
+    /// The wire name, matched case-insensitively and written uppercase
+    /// in `ERR` reasons; also the metric label
+    /// (`ftr_requests_total{verb=…}`, `STATS verb_<name>=`) and, for a
+    /// timed verb, the span stage name.
+    pub name: &'static str,
+    args: Args,
+    /// A batch holding this verb flushes the shard's local metrics
+    /// before it is answered, so the reply sees its own batch.
+    pub introspect: bool,
+    /// The verb's server-side latency earns a histogram (its latency
+    /// slot is its row).
+    pub timed: bool,
+}
+
+const fn verb(name: &'static str, args: Args) -> Verb {
+    Verb {
+        name,
+        args,
+        introspect: false,
+        timed: false,
+    }
+}
+
+impl Verb {
+    const fn timed(self) -> Verb {
+        Verb {
+            timed: true,
+            ..self
+        }
+    }
+
+    const fn introspect(self) -> Verb {
+        Verb {
+            introspect: true,
+            ..self
+        }
+    }
+}
+
+/// Row of `ROUTE` in [`VERBS`].
+pub(crate) const ROUTE: usize = 0;
+
+/// Every verb, one row each. A row's index is the verb's metric slot,
+/// so the order is the `STATS` and `METRICS` order (`ROUTE` first: it
+/// dominates).
+pub(crate) const VERBS: [Verb; 17] = [
+    verb("route", Args::Pair(|x, y| Request::Route { x, y })).timed(),
+    verb("ping", Args::Bare(Request::Ping)),
+    verb("epoch", Args::Bare(Request::Epoch)),
+    verb("diam", Args::Bare(Request::Diam)),
+    verb(
+        "tolerate",
+        Args::Claim(|diameter, faults| Request::Tolerate { diameter, faults }),
+    )
+    .timed(),
+    verb(
+        "audit",
+        Args::Claim(|diameter, faults| Request::Audit { diameter, faults }),
+    )
+    .timed(),
+    verb("schemes", Args::Bare(Request::Schemes)),
+    verb(
+        "plan",
+        Args::Claim(|diameter, faults| Request::Plan { diameter, faults }),
+    )
+    .timed(),
+    verb("fail", Args::Node(Request::Fail)),
+    verb("repair", Args::Node(Request::Repair)),
+    verb("stats", Args::Bare(Request::Stats)).introspect(),
+    verb("metrics", Args::Bare(Request::Metrics)).introspect(),
+    verb("trace", Args::Count("event count", None, Request::Trace)).introspect(),
+    verb("quit", Args::Bare(Request::Quit)),
+    verb(
+        "spans",
+        Args::Count("batch count", Some(SPANS_DEFAULT), Request::Spans),
+    )
+    .introspect(),
+    verb(
+        "slow",
+        Args::Count("batch count", Some(SPANS_DEFAULT), Request::Slow),
+    )
+    .introspect(),
+    verb(
+        "lineage",
+        Args::Count("record count", Some(LINEAGE_DEFAULT), Request::Lineage),
+    )
+    .introspect(),
+];
+
 /// Parses one request line.
 ///
 /// # Errors
@@ -138,90 +246,61 @@ pub enum Request {
 /// Returns a human-readable reason, rendered by the server as
 /// `ERR <reason>`.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    // Fast path for the overwhelmingly common canonical form
-    // `ROUTE <x> <y>` (exactly one space, uppercase, decimal) — skips
-    // the tokenizer and verb table. Anything else (lowercase, extra
-    // whitespace, huge numbers) falls through to the general parser,
-    // which accepts or rejects it exactly as before.
+    parse_verb(line).map(|(_, request)| request)
+}
+
+/// [`parse_request`], plus the request's row in [`VERBS`].
+pub(crate) fn parse_verb(line: &str) -> Result<(usize, Request), String> {
+    // Fast path for the overwhelmingly common form `ROUTE <x> <y>`
+    // (exactly one space, short decimals) — skips the tokenizer and
+    // verb table. Anything else (extra whitespace, huge numbers) falls
+    // through to the general parser, which answers it the same way.
     if let Some(route) = parse_route_fast(line.as_bytes()) {
-        return Ok(route);
+        return Ok((ROUTE, route));
     }
     let mut tokens = line.split_whitespace();
-    let verb = tokens.next().ok_or("empty request")?;
-    // Case-insensitive verb match without allocating an uppercased
-    // copy — the parse sits on the per-request hot path.
-    let canon = |v: &str| -> &'static str {
-        for known in [
-            "PING", "EPOCH", "DIAM", "STATS", "QUIT", "ROUTE", "TOLERATE", "AUDIT", "SCHEMES",
-            "PLAN", "FAIL", "REPAIR", "METRICS", "TRACE", "SPANS", "SLOW", "LINEAGE",
-        ] {
-            if v.eq_ignore_ascii_case(known) {
-                return known;
-            }
-        }
-        ""
-    };
-    let verb = match canon(verb) {
-        "" => return Err(format!("unknown request {:?}", verb.to_ascii_uppercase())),
-        known => known,
-    };
+    let word = tokens.next().ok_or("empty request")?;
+    // Case-insensitive match without allocating an uppercased copy —
+    // the parse sits on the per-request hot path.
+    let index = VERBS
+        .iter()
+        .position(|verb| word.eq_ignore_ascii_case(verb.name))
+        .ok_or_else(|| format!("unknown request {:?}", word.to_ascii_uppercase()))?;
+    let wire = || VERBS[index].name.to_ascii_uppercase();
     let mut arg = |name: &str| -> Result<&str, String> {
-        tokens.next().ok_or(format!("{verb} needs <{name}>"))
+        tokens
+            .next()
+            .ok_or_else(|| format!("{} needs <{name}>", wire()))
     };
-    let parsed = match verb {
-        "PING" => Request::Ping,
-        "EPOCH" => Request::Epoch,
-        "DIAM" => Request::Diam,
-        "STATS" => Request::Stats,
-        "QUIT" => Request::Quit,
-        "ROUTE" => Request::Route {
-            x: parse_node(arg("x")?)?,
-            y: parse_node(arg("y")?)?,
-        },
-        "TOLERATE" => Request::Tolerate {
-            diameter: parse_num(arg("d")?, "diameter")?,
-            faults: parse_num(arg("f")?, "fault count")?,
-        },
-        "AUDIT" => Request::Audit {
-            diameter: parse_num(arg("d")?, "diameter")?,
-            faults: parse_num(arg("f")?, "fault count")?,
-        },
-        "SCHEMES" => Request::Schemes,
-        "PLAN" => Request::Plan {
-            diameter: parse_num(arg("d")?, "diameter")?,
-            faults: parse_num(arg("f")?, "fault count")?,
-        },
-        "FAIL" => Request::Fail(parse_node(arg("v")?)?),
-        "REPAIR" => Request::Repair(parse_node(arg("v")?)?),
-        "METRICS" => Request::Metrics,
-        "TRACE" => Request::Trace(parse_num(arg("n")?, "event count")?),
-        // The flight-recorder verbs take their count optionally; a
-        // trailing token after a supplied count is still caught below.
-        "SPANS" => Request::Spans(match tokens.next() {
-            Some(token) => parse_num(token, "batch count")?,
-            None => SPANS_DEFAULT,
+    let parsed = match VERBS[index].args {
+        Args::Bare(request) => request,
+        Args::Pair(make) => make(parse_node(arg("x")?)?, parse_node(arg("y")?)?),
+        Args::Claim(make) => make(
+            parse_num(arg("d")?, "diameter")?,
+            parse_num(arg("f")?, "fault count")?,
+        ),
+        Args::Node(make) => make(parse_node(arg("v")?)?),
+        // A trailing token after a supplied count is still caught below.
+        Args::Count(what, Some(default), make) => make(match tokens.next() {
+            Some(token) => parse_num(token, what)?,
+            None => default,
         }),
-        "SLOW" => Request::Slow(match tokens.next() {
-            Some(token) => parse_num(token, "batch count")?,
-            None => SPANS_DEFAULT,
-        }),
-        "LINEAGE" => Request::Lineage(match tokens.next() {
-            Some(token) => parse_num(token, "record count")?,
-            None => LINEAGE_DEFAULT,
-        }),
-        // The canon table above covers every verb; a future mismatch
-        // between the two lists degrades to an ERR reply, not a panic.
-        other => return Err(format!("unknown request {other:?}")),
+        Args::Count(what, None, make) => make(parse_num(arg("n")?, what)?),
     };
     match tokens.next() {
-        Some(extra) => Err(format!("{verb}: unexpected trailing token {extra:?}")),
-        None => Ok(parsed),
+        Some(extra) => Err(format!("{}: unexpected trailing token {extra:?}", wire())),
+        None => Ok((index, parsed)),
     }
 }
 
 #[inline]
 fn parse_route_fast(line: &[u8]) -> Option<Request> {
-    let rest = line.strip_prefix(b"ROUTE ")?;
+    let name = VERBS[ROUTE].name.as_bytes();
+    let (head, rest) = line.split_at_checked(name.len())?;
+    if !head.eq_ignore_ascii_case(name) {
+        return None;
+    }
+    let rest = rest.strip_prefix(b" ")?;
     let sp = rest.iter().position(|&c| c == b' ')?;
     let x = parse_dec(&rest[..sp])?;
     let y = parse_dec(&rest[sp + 1..])?;
@@ -399,41 +478,61 @@ mod tests {
     }
 
     #[test]
+    fn every_verb_row_parses_to_its_own_row() {
+        assert_eq!(VERBS[ROUTE].name, "route");
+        for (row, verb) in VERBS.iter().enumerate() {
+            let line = match verb.args {
+                Args::Bare(_) => verb.name.to_string(),
+                Args::Pair(_) | Args::Claim(_) => format!("{} 4 2", verb.name),
+                Args::Node(_) | Args::Count(..) => format!("{} 3", verb.name),
+            };
+            for line in [line.clone(), line.to_ascii_uppercase()] {
+                assert_eq!(parse_verb(&line).map(|(r, _)| r), Ok(row), "{line}");
+            }
+        }
+    }
+
+    #[test]
     fn rejects_malformed_lines() {
-        for bad in [
-            "",
-            "   ",
-            "FROB",
-            "ROUTE",
-            "ROUTE 1",
-            "ROUTE 1 2 3",
-            "ROUTE one two",
-            "ROUTE -1 2",
-            "TOLERATE 6",
-            "TOLERATE x 2",
-            "AUDIT",
-            "AUDIT 4",
-            "AUDIT 4 2 1",
-            "PLAN",
-            "PLAN 4",
-            "PLAN x 2",
-            "PLAN 4 2 9",
-            "SCHEMES now",
-            "METRICS all",
-            "TRACE",
-            "TRACE x",
-            "TRACE 5 5",
-            "SPANS x",
-            "SPANS 5 5",
-            "SLOW -1",
-            "SLOW 2 2",
-            "LINEAGE x",
-            "LINEAGE 4 4",
-            "FAIL",
-            "FAIL 1 2",
-            "PING PONG",
+        // The exact reason is the `ERR <reason>` line on the wire.
+        for (bad, reason) in [
+            ("", "empty request"),
+            ("   ", "empty request"),
+            ("FROB", r#"unknown request "FROB""#),
+            ("frob x", r#"unknown request "FROB""#),
+            ("ROUTE", "ROUTE needs <x>"),
+            ("ROUTE 1", "ROUTE needs <y>"),
+            ("route 1", "ROUTE needs <y>"),
+            ("ROUTE 1 2 3", r#"ROUTE: unexpected trailing token "3""#),
+            ("ROUTE one two", r#"bad node id "one""#),
+            ("ROUTE -1 2", r#"bad node id "-1""#),
+            ("TOLERATE 6", "TOLERATE needs <f>"),
+            ("TOLERATE x 2", r#"bad diameter "x""#),
+            ("AUDIT", "AUDIT needs <d>"),
+            ("AUDIT 4", "AUDIT needs <f>"),
+            ("AUDIT 4 2 1", r#"AUDIT: unexpected trailing token "1""#),
+            ("PLAN", "PLAN needs <d>"),
+            ("PLAN 4", "PLAN needs <f>"),
+            ("PLAN x 2", r#"bad diameter "x""#),
+            ("PLAN 4 x", r#"bad fault count "x""#),
+            ("PLAN 4 2 9", r#"PLAN: unexpected trailing token "9""#),
+            ("SCHEMES now", r#"SCHEMES: unexpected trailing token "now""#),
+            ("METRICS all", r#"METRICS: unexpected trailing token "all""#),
+            ("TRACE", "TRACE needs <n>"),
+            ("TRACE x", r#"bad event count "x""#),
+            ("TRACE 5 5", r#"TRACE: unexpected trailing token "5""#),
+            ("SPANS x", r#"bad batch count "x""#),
+            ("SPANS 5 5", r#"SPANS: unexpected trailing token "5""#),
+            ("SLOW -1", r#"bad batch count "-1""#),
+            ("SLOW 2 2", r#"SLOW: unexpected trailing token "2""#),
+            ("LINEAGE x", r#"bad record count "x""#),
+            ("LINEAGE 4 4", r#"LINEAGE: unexpected trailing token "4""#),
+            ("FAIL", "FAIL needs <v>"),
+            ("FAIL 1 2", r#"FAIL: unexpected trailing token "2""#),
+            ("REPAIR x", r#"bad node id "x""#),
+            ("PING PONG", r#"PING: unexpected trailing token "PONG""#),
         ] {
-            assert!(parse_request(bad).is_err(), "accepted {bad:?}");
+            assert_eq!(parse_request(bad), Err(reason.to_string()), "{bad:?}");
         }
     }
 

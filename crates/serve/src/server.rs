@@ -23,7 +23,7 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -32,12 +32,9 @@ use ftr_graph::Node;
 
 use crate::epoch::{Epoch, EpochReader, EpochStore, QueryKey};
 use crate::ingest::{EventQueue, FaultEvent, Ingestor};
-use crate::metrics::{
-    verb_index, LocalObs, ServeObs, FLUSH_EVERY, LAT_AUDIT, LAT_PLAN, LAT_ROUTE, LAT_TOLERATE,
-    LAT_VERBS, VERBS,
-};
+use crate::metrics::{LocalObs, ServeObs, FLUSH_EVERY};
 use crate::poll::PollSet;
-use crate::proto::{parse_request, render_diameter, render_node_list, Request};
+use crate::proto::{parse_verb, render_diameter, render_node_list, Request, ROUTE, VERBS};
 use crate::query::{self, QueryError};
 use crate::snapshot::RoutingSnapshot;
 use crate::watchdog::{SloConfig, Watchdog};
@@ -96,50 +93,19 @@ impl Default for ServerConfig {
 }
 
 /// Recovers a poisoned lock instead of panicking the acquiring thread.
-/// Everything locked in this module tolerates it: inboxes hold whole
-/// `TcpStream`s, and the PLAN/AUDIT memos cache deterministic replies —
-/// a holder that panicked cannot have left a half-written value.
-fn relock<G>(result: Result<G, PoisonError<G>>) -> G {
+/// Everything locked in this crate's serve loops tolerates it: inboxes
+/// hold whole `TcpStream`s, and the PLAN/AUDIT memos cache deterministic
+/// replies — a holder that panicked cannot have left a half-written
+/// value.
+pub(crate) fn relock<G>(result: Result<G, PoisonError<G>>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Monotonic counters shared by the shards, readable over `STATS` and
-/// through [`ServerHandle::stats`].
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    /// Requests answered (including `ERR` replies).
-    pub queries: AtomicU64,
-    /// `ROUTE`/`TOLERATE` answers served from the epoch cache.
-    pub cache_hits: AtomicU64,
-    /// Malformed requests and query errors.
-    pub protocol_errors: AtomicU64,
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Fault events enqueued.
-    pub events_enqueued: AtomicU64,
-    /// Transient accept-loop errors retried with backoff.
-    pub accept_retries: AtomicU64,
-}
-
-impl ServerStats {
-    fn snapshot(&self) -> (u64, u64, u64, u64, u64, u64) {
-        (
-            self.queries.load(Ordering::Relaxed),
-            self.cache_hits.load(Ordering::Relaxed),
-            self.protocol_errors.load(Ordering::Relaxed),
-            self.connections.load(Ordering::Relaxed),
-            self.events_enqueued.load(Ordering::Relaxed),
-            self.accept_retries.load(Ordering::Relaxed),
-        )
-    }
-}
-
 /// Control handle for a bound (possibly running) server: address,
-/// stats, live epoch access and shutdown.
+/// counters, live epoch access and shutdown.
 #[derive(Clone)]
 pub struct ServerHandle {
     addr: SocketAddr,
-    stats: Arc<ServerStats>,
     obs: Arc<ServeObs>,
     store: EpochStore,
     queue: Arc<EventQueue>,
@@ -152,13 +118,8 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The live counters.
-    pub fn stats(&self) -> &ServerStats {
-        &self.stats
-    }
-
-    /// The metric registry and trace journal (for `--metrics-json`
-    /// exporters, tests and diagnostics).
+    /// The `STATS` counters, the metric registry and the journals (for
+    /// `--metrics-json` exporters, tests and diagnostics).
     pub fn obs(&self) -> &Arc<ServeObs> {
         &self.obs
     }
@@ -202,12 +163,10 @@ impl Server {
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
         let store = EpochStore::new(&snapshot.engine().epoch_state());
-        let stats = Arc::new(ServerStats::default());
         let obs = Arc::new(ServeObs::new(
             config.metrics,
             config.spans,
             config.shards.max(1),
-            Arc::clone(&stats),
         ));
         {
             let mut reader = store.reader();
@@ -216,7 +175,6 @@ impl Server {
         }
         let handle = ServerHandle {
             addr,
-            stats,
             obs,
             store,
             queue: Arc::new(EventQueue::new()),
@@ -272,7 +230,6 @@ impl Server {
             if config.metrics {
                 let watchdog = Watchdog {
                     obs: &handle.obs,
-                    stats: &handle.stats,
                     queue: &handle.queue,
                     inboxes: &inboxes,
                     shutdown: &handle.shutdown,
@@ -285,7 +242,6 @@ impl Server {
                     index,
                     snapshot: &snapshot,
                     config: &config,
-                    stats: &handle.stats,
                     obs: &handle.obs,
                     queue: &handle.queue,
                     reader: handle.store.reader(),
@@ -313,7 +269,7 @@ impl Server {
                         if handle.shutdown.load(Ordering::Acquire) {
                             break;
                         }
-                        handle.stats.connections.fetch_add(1, Ordering::Relaxed);
+                        handle.obs.connections.inc();
                         relock(inboxes[next_shard % shard_count].lock()).push(conn);
                         next_shard = next_shard.wrapping_add(1);
                     }
@@ -321,7 +277,7 @@ impl Server {
                         if handle.shutdown.load(Ordering::Acquire) {
                             break;
                         }
-                        handle.stats.accept_retries.fetch_add(1, Ordering::Relaxed);
+                        handle.obs.accept_retries.inc();
                         std::thread::sleep(backoff);
                         backoff = (backoff * 2).min(BACKOFF_CAP);
                     }
@@ -516,7 +472,8 @@ enum Reply {
 /// Reusable per-shard buffers for batch dispatch.
 #[derive(Default)]
 struct DispatchScratch {
-    requests: Vec<Result<Request, String>>,
+    /// Parsed requests with their rows in [`VERBS`].
+    requests: Vec<Result<(usize, Request), String>>,
     replies: Vec<Reply>,
     /// `(reply index, x, y)` of validated ROUTE queries in this batch.
     jobs: Vec<(u32, Node, Node)>,
@@ -533,7 +490,6 @@ struct Shard<'a> {
     index: usize,
     snapshot: &'a RoutingSnapshot,
     config: &'a ServerConfig,
-    stats: &'a ServerStats,
     obs: &'a ServeObs,
     queue: &'a EventQueue,
     reader: EpochReader,
@@ -560,7 +516,6 @@ impl Shard<'_> {
         let ctx = DispatchCtx {
             snapshot: self.snapshot,
             config: self.config,
-            stats: self.stats,
             obs: self.obs,
             queue: self.queue,
             schemes: self.schemes,
@@ -713,9 +668,7 @@ impl Shard<'_> {
             local.pending_epoch = epoch.id();
             local.pending_requests = scratch.requests.len() as u32;
         }
-        ctx.stats
-            .queries
-            .fetch_add(scratch.requests.len() as u64, Ordering::Relaxed);
+        ctx.obs.queries.add(scratch.requests.len() as u64);
         let DispatchScratch {
             requests,
             replies,
@@ -731,17 +684,9 @@ impl Shard<'_> {
             local.batches += 1;
             local.batch_sizes.record(requests.len() as u64);
             let mut introspect = false;
-            for parsed in requests.iter().flatten() {
-                local.verbs[verb_index(parsed)] += 1;
-                introspect |= matches!(
-                    parsed,
-                    Request::Stats
-                        | Request::Metrics
-                        | Request::Trace(_)
-                        | Request::Spans(_)
-                        | Request::Slow(_)
-                        | Request::Lineage(_)
-                );
+            for &(verb, _) in requests.iter().flatten() {
+                local.verbs[verb] += 1;
+                introspect |= VERBS[verb].introspect;
             }
             if introspect {
                 local.flush(ctx.obs, shard_index);
@@ -766,7 +711,7 @@ impl Shard<'_> {
                     // Malformed queries are rejected *before* the cache
                     // lookup, so an `ERR` reply is never cached and the
                     // cache's key space stays bounded by valid node pairs.
-                    Ok(Request::Route { x, y }) => {
+                    Ok((_, Request::Route { x, y })) => {
                         match query::validate_route_query(ctx.snapshot, *x, *y) {
                             Ok(()) => {
                                 jobs.push((idx as u32, *x, *y));
@@ -779,30 +724,19 @@ impl Shard<'_> {
                             }
                         }
                     }
-                    Ok(request) => {
-                        // TOLERATE/AUDIT/PLAN are the verbs whose server-side
-                        // latency earns a distribution; the rest are O(1)
-                        // renders not worth two clock reads each.
-                        let slot = match request {
-                            Request::Tolerate { .. } => Some(LAT_TOLERATE),
-                            Request::Audit { .. } => Some(LAT_AUDIT),
-                            Request::Plan { .. } => Some(LAT_PLAN),
-                            _ => None,
-                        };
-                        match slot.filter(|_| record) {
-                            Some(slot) => {
-                                let span = spans_on.then(|| local.recorder.start(LAT_VERBS[slot]));
-                                let start = Instant::now();
-                                let reply = ctx.dispatch_slow(*request, &epoch, &mut errors);
-                                local.latency[slot].record(start.elapsed().as_nanos() as u64);
-                                if let Some(span) = span {
-                                    local.recorder.end(span);
-                                }
-                                reply
-                            }
-                            None => ctx.dispatch_slow(*request, &epoch, &mut errors),
+                    // Timed verbs earn a latency distribution; the rest
+                    // are O(1) renders not worth two clock reads each.
+                    Ok((verb, request)) if record && VERBS[*verb].timed => {
+                        let span = spans_on.then(|| local.recorder.start(VERBS[*verb].name));
+                        let start = Instant::now();
+                        let reply = ctx.dispatch_slow(*request, &epoch, &mut errors);
+                        local.latency[*verb].record(start.elapsed().as_nanos() as u64);
+                        if let Some(span) = span {
+                            local.recorder.end(span);
                         }
+                        reply
                     }
+                    Ok((_, request)) => ctx.dispatch_slow(*request, &epoch, &mut errors),
                 };
                 replies.push(reply);
             }
@@ -837,14 +771,12 @@ impl Shard<'_> {
                     // Batch-attributed ROUTE latency, mirroring the load
                     // generator's accounting: every query in the batch
                     // records the batch's compute time.
-                    local.latency[LAT_ROUTE]
+                    local.latency[ROUTE]
                         .record_n(start.elapsed().as_nanos() as u64, pairs.len() as u64);
                     local.hits += hits;
                     local.misses += pairs.len() as u64 - hits;
                 }
-                if hits > 0 {
-                    ctx.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
-                }
+                ctx.obs.cache_hits.add(hits);
             }
             let serialize_span = spans_on.then(|| local.recorder.start("serialize"));
             for reply in replies.iter() {
@@ -871,11 +803,7 @@ impl Shard<'_> {
                 written = Instant::now();
             }
         }
-        if errors > 0 {
-            ctx.stats
-                .protocol_errors
-                .fetch_add(errors, Ordering::Relaxed);
-        }
+        ctx.obs.protocol_errors.add(errors);
         if local.batches >= FLUSH_EVERY {
             local.flush(ctx.obs, shard_index);
         }
@@ -887,16 +815,16 @@ impl Shard<'_> {
     /// batch ends there; pipelined bytes after a QUIT are discarded,
     /// matching the blocking loop's behavior). Empty lines produce no
     /// request and no reply.
-    fn push_line(requests: &mut Vec<Result<Request, String>>, line: &[u8]) -> bool {
+    fn push_line(requests: &mut Vec<Result<(usize, Request), String>>, line: &[u8]) -> bool {
         let line = trim_ascii(line);
         if line.is_empty() {
             return false;
         }
         let parsed = match std::str::from_utf8(line) {
-            Ok(s) => parse_request(s),
+            Ok(s) => parse_verb(s),
             Err(_) => Err("request is not valid UTF-8".to_string()),
         };
-        let quit = matches!(parsed, Ok(Request::Quit));
+        let quit = matches!(parsed, Ok((_, Request::Quit)));
         requests.push(parsed);
         quit
     }
@@ -926,7 +854,6 @@ fn trim_ascii(mut line: &[u8]) -> &[u8] {
 struct DispatchCtx<'a> {
     snapshot: &'a RoutingSnapshot,
     config: &'a ServerConfig,
-    stats: &'a ServerStats,
     obs: &'a ServeObs,
     queue: &'a EventQueue,
     schemes: &'a OnceLock<String>,
@@ -988,7 +915,7 @@ impl DispatchCtx<'_> {
                             .search("tolerate_search", epoch.id(), sets, pruned, wall);
                     }
                     if hit {
-                        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+                        self.obs.cache_hits.inc();
                     }
                     Reply::Shared(reply)
                 }
@@ -999,7 +926,7 @@ impl DispatchCtx<'_> {
                 let cached = relock(self.audits.lock()).get(&key).cloned();
                 match cached {
                     Some(reply) => {
-                        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+                        self.obs.cache_hits.inc();
                         Reply::Owned(reply)
                     }
                     None => match query::audit_claim(self.snapshot, diameter, faults, budget) {
@@ -1035,28 +962,33 @@ impl DispatchCtx<'_> {
                         _ => FaultEvent::Repair(v),
                     };
                     self.queue.push(event);
-                    self.stats.events_enqueued.fetch_add(1, Ordering::Relaxed);
+                    self.obs.events_enqueued.inc();
                     Reply::Owned("OK QUEUED".to_string())
                 }
             }
             Request::Stats => {
-                let (queries, hits, errors, conns, events, retries) = self.stats.snapshot();
+                let obs = self.obs;
                 // Every pre-existing token stays byte-identical, in the
                 // same order; uptime and the per-verb counters (prefixed
                 // `verb_` so names can never collide with the originals)
                 // are appended after them.
                 let mut reply = format!(
-                    "OK STATS epoch={} faults={} queries={queries} cache_hits={hits} \
-                     errors={errors} connections={conns} events={events} \
-                     accept_retries={retries} uptime_s={}",
+                    "OK STATS epoch={} faults={} queries={} cache_hits={} errors={} \
+                     connections={} events={} accept_retries={} uptime_s={}",
                     epoch.id(),
                     epoch.faults().len(),
-                    self.obs.uptime_seconds()
+                    obs.queries.get(),
+                    obs.cache_hits.get(),
+                    obs.protocol_errors.get(),
+                    obs.connections.get(),
+                    obs.events_enqueued.get(),
+                    obs.accept_retries.get(),
+                    obs.uptime_seconds()
                 );
-                let counts = self.obs.verb_counts();
+                let counts = obs.verb_counts();
                 for (verb, count) in VERBS.iter().zip(counts) {
                     use std::fmt::Write as _;
-                    let _ = write!(reply, " verb_{verb}={count}");
+                    let _ = write!(reply, " verb_{}={count}", verb.name);
                 }
                 {
                     use std::fmt::Write as _;

@@ -8,19 +8,15 @@
 //! [`Graph`], the [`Routing`] table (for rendering actual node paths),
 //! and the bitset-compiled [`CompiledRoutes`] engine (for fault math).
 //!
-//! The disk format is line-delimited text: a graph6 body for the
-//! topology (interchangeable with nauty/geng/NetworkX, parsed by
-//! [`ftr_graph::io`]) and the route table. Two versions exist:
-//!
-//! * **v2** (written) — the frozen [`Routing`]'s flat node arena is
-//!   serialized in bulk: a `paths` count, the `off` path-offset array
-//!   and the `arena` node array, chunked onto fixed-width lines, plus an
-//!   optional `scheme` provenance line recording which construction
-//!   scheme (and guarantee) built the table. The frozen layout is
-//!   canonical, so write → load → write round-trips byte-identically.
-//! * **v1** (still read) — one `route` line per stored path; a
-//!   bidirectional routing writes each path once and loading
-//!   re-registers both directions.
+//! The disk format, `ftr-snapshot v2`, is line-delimited text: a graph6
+//! body for the topology (interchangeable with nauty/geng/NetworkX,
+//! parsed by [`ftr_graph::io`]) and the frozen [`Routing`]'s flat node
+//! arena serialized in bulk — a `paths` count, the `off` path-offset
+//! array and the `arena` node array, chunked onto fixed-width lines —
+//! plus an optional `scheme` provenance line recording which
+//! construction scheme (and guarantee) built the table. The frozen
+//! layout is canonical, so write → load → write round-trips
+//! byte-identically.
 
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -30,10 +26,7 @@ use std::sync::Arc;
 use ftr_core::{BuiltRouting, Compile, CompiledRoutes, Routing, RoutingKind};
 use ftr_graph::{io as graph_io, Graph, Node, Path};
 
-/// Magic first line of a legacy (per-route-line) snapshot file.
-const HEADER_V1: &str = "ftr-snapshot v1";
-
-/// Magic first line of a bulk-arena snapshot file.
+/// Magic first line of a snapshot file.
 const HEADER_V2: &str = "ftr-snapshot v2";
 
 /// Values per `off` / `arena` line; fixed so the writer is
@@ -174,9 +167,9 @@ impl RoutingSnapshot {
         writeln!(w, "end")
     }
 
-    /// Parses a snapshot from either text format (`ftr-snapshot v2`, or
-    /// the legacy per-route-line `ftr-snapshot v1`), validating every
-    /// route against the embedded graph.
+    /// Parses an `ftr-snapshot v2` document — the `paths` count, the
+    /// bulk `off` / `arena` arrays and the optional `scheme` provenance
+    /// line — validating every route against the embedded graph.
     ///
     /// # Errors
     ///
@@ -185,67 +178,10 @@ impl RoutingSnapshot {
     pub fn read_from(r: impl BufRead) -> Result<Self, SnapshotError> {
         let mut lines = r.lines();
         let header = lines.next().ok_or_else(|| bad("empty snapshot"))??;
-        match header.trim_end() {
-            HEADER_V2 => Self::read_v2(lines),
-            HEADER_V1 => Self::read_v1(lines),
-            other => Err(bad(format!(
-                "bad header {other:?}, want {HEADER_V2:?} or {HEADER_V1:?}"
-            ))),
+        let header = header.trim_end();
+        if header != HEADER_V2 {
+            return Err(bad(format!("bad header {header:?}, want {HEADER_V2:?}")));
         }
-    }
-
-    /// The legacy v1 body: one `route` line per stored path.
-    fn read_v1(lines: io::Lines<impl BufRead>) -> Result<Self, SnapshotError> {
-        let mut graph = None;
-        let mut routing: Option<Routing> = None;
-        let mut ended = false;
-        for line in lines {
-            let line = line?;
-            let line = line.trim_end();
-            if line.is_empty() {
-                continue;
-            }
-            let (verb, rest) = line.split_once(' ').unwrap_or((line, ""));
-            match verb {
-                "graph" => {
-                    let g =
-                        graph_io::from_graph6(rest).map_err(|e| bad(format!("graph line: {e}")))?;
-                    graph = Some(g);
-                }
-                "kind" => {
-                    let kind = parse_kind(rest)?;
-                    let g = graph.as_ref().ok_or_else(|| bad("kind before graph"))?;
-                    routing = Some(Routing::new(g.node_count(), kind));
-                }
-                "route" => {
-                    let table = routing.as_mut().ok_or_else(|| bad("route before kind"))?;
-                    let nodes: Vec<Node> = rest
-                        .split_whitespace()
-                        .map(|t| t.parse().map_err(|_| bad(format!("bad node {t:?}"))))
-                        .collect::<Result<_, _>>()?;
-                    let path = Path::new(nodes).map_err(|e| bad(format!("route line: {e}")))?;
-                    table
-                        .insert(path)
-                        .map_err(|e| bad(format!("route line: {e}")))?;
-                }
-                "end" => {
-                    ended = true;
-                    break;
-                }
-                other => return Err(bad(format!("unknown snapshot line {other:?}"))),
-            }
-        }
-        if !ended {
-            return Err(bad("snapshot truncated (no `end` line)"));
-        }
-        let graph = graph.ok_or_else(|| bad("snapshot has no graph"))?;
-        let routing = routing.ok_or_else(|| bad("snapshot has no routing"))?;
-        RoutingSnapshot::new(graph, routing).map_err(|e| bad(format!("invalid routing: {e}")))
-    }
-
-    /// The v2 body: `paths` count plus bulk `off` / `arena` arrays and
-    /// the optional `scheme` provenance line.
-    fn read_v2(lines: io::Lines<impl BufRead>) -> Result<Self, SnapshotError> {
         let mut graph = None;
         let mut kind = None;
         let mut scheme = None;
@@ -409,7 +345,7 @@ fn parse_numbers_into(rest: &str, out: &mut Vec<u32>) -> Result<(), SnapshotErro
 pub enum SnapshotError {
     /// The underlying reader failed.
     Io(io::Error),
-    /// The content was not a valid `ftr-snapshot v1` document.
+    /// The content was not a valid `ftr-snapshot v2` document.
     Malformed(String),
 }
 
@@ -482,44 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn reads_legacy_v1_documents() {
-        // A v1 document equivalent to what the previous writer produced:
-        // each stored path once, sorted.
-        let snap = petersen_snapshot();
-        let mut doc = String::from("ftr-snapshot v1\n");
-        doc.push_str(&format!("graph {}\n", graph_io::to_graph6(snap.graph())));
-        doc.push_str("kind bidirectional\n");
-        let mut routes: Vec<Vec<Node>> = snap
-            .routing()
-            .routes()
-            .filter(|&(s, d, _)| s < d)
-            .map(|(_, _, view)| view.nodes())
-            .collect();
-        routes.sort_unstable();
-        for nodes in routes {
-            doc.push_str("route");
-            for v in nodes {
-                doc.push_str(&format!(" {v}"));
-            }
-            doc.push('\n');
-        }
-        doc.push_str("end\n");
-        let loaded = RoutingSnapshot::read_from(doc.as_bytes()).unwrap();
-        assert_eq!(loaded.graph(), snap.graph());
-        assert_eq!(loaded.routing().route_count(), snap.routing().route_count());
-        for (s, d, view) in snap.routing().routes() {
-            let other = loaded.routing().route(s, d).expect("pair preserved");
-            assert_eq!(other.nodes(), view.nodes(), "route ({s}, {d})");
-        }
-        // Re-writing the v1 document upgrades it to the canonical v2
-        // form, identical to writing the original snapshot.
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        loaded.write_to(&mut a).unwrap();
-        snap.write_to(&mut b).unwrap();
-        assert_eq!(a, b, "v1 upgrade is canonical");
-    }
-
-    #[test]
     fn scheme_tag_round_trips_byte_identically() {
         let g = gen::petersen();
         let built = ftr_core::SchemeRegistry::standard()
@@ -575,43 +473,92 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for doc in [
-            "",
-            "not a snapshot",
-            "ftr-snapshot v1\nkind bidirectional\nend\n", // kind before graph
-            "ftr-snapshot v1\ngraph C~\nroute 0 1\nend\n", // route before kind
-            "ftr-snapshot v1\ngraph C~\nkind sideways\nend\n",
-            "ftr-snapshot v1\ngraph ~~~~~\nkind bidirectional\nend\n",
-            "ftr-snapshot v1\ngraph C~\nkind bidirectional\nroute 0 9\nend\n",
-            "ftr-snapshot v1\ngraph C~\nkind bidirectional\nroute 0 x\nend\n",
-            "ftr-snapshot v1\ngraph C~\nkind bidirectional\n", // truncated
-            "ftr-snapshot v1\nmystery line\nend\n",
-            // v2-specific failures:
-            "ftr-snapshot v2\ngraph C~\nkind bidirectional\nend\n", // no paths
-            "ftr-snapshot v2\ngraph C~\nkind bidirectional\npaths 1\noff 0 2\narena 0 1\n", // truncated
-            "ftr-snapshot v2\ngraph C~\nkind bidirectional\npaths 2\noff 0 2\narena 0 1\nend\n", // off too short
-            "ftr-snapshot v2\ngraph C~\nkind bidirectional\npaths 1\noff 0 3\narena 0 1\nend\n", // off beyond arena
-            "ftr-snapshot v2\ngraph C~\nkind bidirectional\npaths 1\noff 1 2\narena 0 1\nend\n", // off not from 0
-            "ftr-snapshot v2\ngraph C~\nkind bidirectional\npaths 1\noff 0 2\narena 0 x\nend\n", // bad number
-            "ftr-snapshot v2\ngraph C~\nkind bidirectional\npaths 1\noff 0 2\narena 0 9\nend\n", // node out of range
-            "ftr-snapshot v2\ngraph C~\nkind bidirectional\npaths 1\noff 0 1\narena 0\nend\n", // single-node path
+        for (doc, reason) in [
+            ("", "empty snapshot"),
+            ("not a snapshot", "bad header \"not a snapshot\""),
+            // The per-route-line v1 format is no longer read.
+            (
+                "ftr-snapshot v1\ngraph C~\nkind bidirectional\nroute 0 1\nend\n",
+                "want \"ftr-snapshot v2\"",
+            ),
+            (
+                "ftr-snapshot v2\nkind bidirectional\npaths 0\noff 0\nend\n",
+                "snapshot has no graph",
+            ),
+            (
+                "ftr-snapshot v2\ngraph C~\npaths 1\noff 0 2\narena 0 1\nend\n",
+                "snapshot has no kind",
+            ),
+            (
+                "ftr-snapshot v2\ngraph C~\nkind sideways\npaths 1\noff 0 2\narena 0 1\nend\n",
+                "unknown routing kind \"sideways\"",
+            ),
+            (
+                "ftr-snapshot v2\ngraph ~~~~~\nkind bidirectional\npaths 1\noff 0 2\narena 0 1\nend\n",
+                "graph line: ",
+            ),
+            (
+                "ftr-snapshot v2\ngraph C~\nkind bidirectional\npaths 2\noff 0 2 4\narena 0 1 1 4\nend\n",
+                "node 4 out of range",
+            ),
+            (
+                "ftr-snapshot v2\ngraph C~\nkind bidirectional\npaths 1\noff 0 x\narena 0 1\nend\n",
+                "bad number \"x\"",
+            ),
+            (
+                "ftr-snapshot v2\ngraph C~\nkind bidirectional\n",
+                "snapshot truncated",
+            ),
+            (
+                "ftr-snapshot v2\nmystery line\nend\n",
+                "unknown snapshot line \"mystery\"",
+            ),
+            (
+                "ftr-snapshot v2\ngraph C~\nkind bidirectional\nend\n",
+                "snapshot has no path count",
+            ),
+            (
+                "ftr-snapshot v2\ngraph C~\nkind bidirectional\npaths 1\noff 0 2\narena 0 1\n",
+                "snapshot truncated",
+            ),
+            (
+                "ftr-snapshot v2\ngraph C~\nkind bidirectional\npaths 2\noff 0 2\narena 0 1\nend\n",
+                "offset array has 2 entries, want paths + 1 = 3",
+            ),
+            (
+                "ftr-snapshot v2\ngraph C~\nkind bidirectional\npaths 1\noff 0 3\narena 0 1\nend\n",
+                "offset array does not span the arena",
+            ),
+            (
+                "ftr-snapshot v2\ngraph C~\nkind bidirectional\npaths 1\noff 1 2\narena 0 1\nend\n",
+                "offset array does not span the arena",
+            ),
+            (
+                "ftr-snapshot v2\ngraph C~\nkind bidirectional\npaths 1\noff 0 2\narena 0 x\nend\n",
+                "bad number \"x\"",
+            ),
+            (
+                "ftr-snapshot v2\ngraph C~\nkind bidirectional\npaths 1\noff 0 2\narena 0 9\nend\n",
+                "node 9 out of range",
+            ),
+            (
+                "ftr-snapshot v2\ngraph C~\nkind bidirectional\npaths 1\noff 0 1\narena 0\nend\n",
+                "arena path 0: ",
+            ),
         ] {
-            assert!(
-                RoutingSnapshot::read_from(doc.as_bytes()).is_err(),
-                "accepted {doc:?}"
-            );
+            match RoutingSnapshot::read_from(doc.as_bytes()) {
+                Ok(_) => panic!("accepted {doc:?}"),
+                Err(e) => assert!(e.to_string().contains(reason), "{doc:?}: {e}"),
+            }
         }
     }
 
     #[test]
     fn validates_routes_against_graph() {
         // "DQc" (the 5-node path 2-0-4-3-1) has no 0-1 edge, so the
-        // route must fail validation against the embedded graph in both
-        // formats.
-        let v1 = "ftr-snapshot v1\ngraph DQc\nkind bidirectional\nroute 0 1\nend\n";
-        assert!(RoutingSnapshot::read_from(v1.as_bytes()).is_err());
-        let v2 =
+        // route must fail validation against the embedded graph.
+        let doc =
             "ftr-snapshot v2\ngraph DQc\nkind bidirectional\npaths 1\noff 0 2\narena 0 1\nend\n";
-        assert!(RoutingSnapshot::read_from(v2.as_bytes()).is_err());
+        assert!(RoutingSnapshot::read_from(doc.as_bytes()).is_err());
     }
 }

@@ -16,8 +16,8 @@
 //!    no epoch advance), and error rate;
 //! 4. feeds each burn into its [`SloAlert`] (short window = this tick,
 //!    long window = trailing average), exporting the rates as gauges
-//!    and pushing `alert_fire`/`alert_clear` [`ftr_obs::TraceRing`]
-//!    events on transitions. The total active count lands in the
+//!    and pushing `alert_fire`/`alert_clear` events into the
+//!    [`ftr_obs::TraceRing`] on transitions. The total active count lands in the
 //!    `ftr_alerts_active` gauge the `STATS` verb reports.
 //!
 //! The watchdog runs at sampling rate (default 1 s), never on the
@@ -26,14 +26,14 @@
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 use std::time::Duration;
 
-use ftr_obs::{AlertTransition, SloAlert};
+use ftr_obs::{AlertTransition, SloAlert, TraceEvent};
 
 use crate::ingest::EventQueue;
 use crate::metrics::ServeObs;
-use crate::server::ServerStats;
+use crate::server::relock;
 
 /// SLO targets and sampling cadence for the watchdog.
 #[derive(Debug, Clone)]
@@ -75,15 +75,10 @@ const STALL_BURN: f64 = 2.0;
 /// latency SLOs are p99 targets).
 const TAIL_BUDGET: f64 = 0.01;
 
-fn relock<G>(result: Result<G, PoisonError<G>>) -> G {
-    result.unwrap_or_else(PoisonError::into_inner)
-}
-
 /// The sampler thread's borrowed context (everything lives in the
 /// server's scope).
 pub(crate) struct Watchdog<'a> {
     pub obs: &'a ServeObs,
-    pub stats: &'a ServerStats,
     pub queue: &'a EventQueue,
     pub inboxes: &'a [Mutex<Vec<TcpStream>>],
     pub shutdown: &'a AtomicBool,
@@ -144,8 +139,8 @@ impl Watchdog<'_> {
         let mut prev_route = self.obs.route_latency_snapshot();
         let mut prev_publish = self.obs.epoch_publish_snapshot();
         let mut prev_advances = self.obs.epoch_advances_total();
-        let mut prev_queries = self.stats.queries.load(Ordering::Relaxed);
-        let mut prev_errors = self.stats.protocol_errors.load(Ordering::Relaxed);
+        let mut prev_queries = self.obs.queries.get();
+        let mut prev_errors = self.obs.protocol_errors.get();
 
         loop {
             // Sleep the interval in short steps so shutdown never waits
@@ -197,8 +192,8 @@ impl Watchdog<'_> {
             }
 
             // Error-rate burn.
-            let queries = self.stats.queries.load(Ordering::Relaxed);
-            let errors = self.stats.protocol_errors.load(Ordering::Relaxed);
+            let queries = self.obs.queries.get();
+            let errors = self.obs.protocol_errors.get();
             let delta_q = queries.saturating_sub(prev_queries);
             let delta_e = errors.saturating_sub(prev_errors);
             prev_queries = queries;
@@ -222,14 +217,14 @@ impl Watchdog<'_> {
                         AlertTransition::Fired => "alert_fire",
                         AlertTransition::Cleared => "alert_clear",
                     };
-                    self.obs.trace().push(
+                    self.obs.trace().push(TraceEvent::now(
                         epoch_id,
                         kind,
                         format!(
                             "slo={} short={:.2} long={:.2}",
                             SLO_NAMES[i], rate.short, rate.long
                         ),
-                    );
+                    ));
                 }
             }
             alerts_total.set(active_count);

@@ -265,13 +265,7 @@ fn concurrent_clients_and_churn_stay_consistent() {
             });
         }
     });
-    let stats = server.handle().stats();
-    assert_eq!(
-        stats
-            .protocol_errors
-            .load(std::sync::atomic::Ordering::Relaxed),
-        0
-    );
+    assert_eq!(server.handle().obs().protocol_errors.get(), 0);
     drop(snapshot);
     server.shutdown_and_join().unwrap();
 }
@@ -452,7 +446,7 @@ fn disabled_metrics_keep_the_exposition_answerable() {
     let text = client.metrics().unwrap();
     assert!(text.contains("# TYPE ftr_requests_total counter"));
     // Hot-path recording is off: the serve-side series stay zero, while
-    // the bridged ServerStats counters still move.
+    // the STATS tallies still move.
     let route = text
         .lines()
         .find(|l| l.starts_with("ftr_requests_total{verb=\"route\"}"))
@@ -463,6 +457,76 @@ fn disabled_metrics_keep_the_exposition_answerable() {
         .find(|l| l.starts_with("ftr_queries_total"))
         .unwrap();
     assert!(!queries.ends_with(" 0"), "{queries}");
+    client.quit().unwrap();
+    server.shutdown_and_join().unwrap();
+}
+
+#[test]
+fn stats_and_metrics_agree_on_every_tally() {
+    use std::io::{BufRead, BufReader, Write};
+    let (server, _snapshot) = start_petersen_server();
+    let mut client = Client::connect(server.addr()).unwrap();
+    // A scripted burst on a quiescent server: routes, one malformed
+    // line, one FAIL, and the same TOLERATE twice in one epoch so the
+    // second answer is a cache hit.
+    for y in 1..5u32 {
+        assert!(client.route(0, y).unwrap().starts_with("OK "));
+        assert!(client.route(0, y).unwrap().starts_with("OK "));
+    }
+    assert!(client.request("FROB").unwrap().starts_with("ERR "));
+    assert!(client.fail(3).unwrap());
+    wait_for_faults(&mut client, 1);
+    let first = client.request("TOLERATE 2 1").unwrap();
+    assert_eq!(client.request("TOLERATE 2 1").unwrap(), first);
+
+    // STATS and METRICS in one batch: nothing moves between the two.
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream.write_all(b"STATS\nMETRICS\n").unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let stats_line = line.trim_end().to_string();
+    let stats = parse_fields(&stats_line);
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    let count: usize = line
+        .trim_end()
+        .strip_prefix("OK METRICS lines=")
+        .expect("METRICS header")
+        .parse()
+        .unwrap();
+    let mut series = std::collections::HashMap::new();
+    for _ in 0..count {
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        if let Some((name, value)) = line.trim_end().split_once(' ') {
+            if !name.starts_with('#') {
+                series.insert(name.to_string(), value.to_string());
+            }
+        }
+    }
+    for (token, name) in [
+        ("queries", "ftr_queries_total"),
+        ("cache_hits", "ftr_reply_cache_hits_total"),
+        ("errors", "ftr_protocol_errors_total"),
+        ("connections", "ftr_connections_total"),
+        ("events", "ftr_events_enqueued_total"),
+        ("accept_retries", "ftr_accept_retries_total"),
+    ] {
+        assert_eq!(
+            series.get(name).map(String::as_str),
+            Some(stats[token]),
+            "{token} vs {name}: {stats_line}"
+        );
+    }
+    assert_eq!(stats["errors"], "1", "{stats_line}");
+    assert_eq!(stats["events"], "1", "{stats_line}");
+    assert_eq!(stats["connections"], "2", "{stats_line}");
+    assert!(
+        stats["cache_hits"].parse::<u64>().unwrap() >= 5,
+        "{stats_line}"
+    );
+    drop(reader);
     client.quit().unwrap();
     server.shutdown_and_join().unwrap();
 }
